@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -42,6 +43,13 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
+def _is_finite_number(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except TypeError:  # not a real number
+        return False
+
+
 @dataclass
 class RunConfig:
     e_min: float = 0.0
@@ -62,6 +70,13 @@ class RunConfig:
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def validate(self):
+        for name in ("e_min", "e0", "gamma0", "hbar", "x", "t_start",
+                     "t_stop", "beta"):
+            v = getattr(self, name)
+            if v is not None and not _is_finite_number(v):
+                raise ConfigError(f"{name} must be a finite number")
+        if not isinstance(self.points, numbers.Integral):
+            raise ConfigError("points must be an integer")
         if self.points < 2:
             raise ConfigError("points must be >= 2")
         if not self.t_start < self.t_stop:
@@ -148,8 +163,8 @@ def _load_config(path: Optional[str]) -> RunConfig:
 
 def _fmt(v) -> str:
     """Stable scalar formatting: shortest round-trip floats."""
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
     return str(v)
 
 
@@ -172,28 +187,42 @@ def _emit(rows, header, cfg: RunConfig):
 _AMPLITUDE_HEADER = ["t", "re_a", "im_a", "abs_a", "p_t", "route", "est_error"]
 
 
+def _route_samples(d: NormalizedDensity, grid: np.ndarray, cfg: RunConfig) -> dict:
+    """(value, est_error) arrays over the grid for each requested route.
+
+    The closed form takes the grid in one call.  The quadrature and
+    asymptotic routes are scalar; they run time-major, so the first
+    failing (t, route) is the one reported."""
+    routes = dict.fromkeys(cfg.routes)
+    out = {}
+    if Route.CLOSED_FORM.value in routes:
+        s = amplitude_closed_form(d, grid)
+        out[Route.CLOSED_FORM.value] = (s.value, s.est_error)
+    pointwise = [r for r in routes if r != Route.CLOSED_FORM.value]
+    samples = [[amplitude_quadrature(d, t, cfg.quadrature)
+                if r == Route.QUADRATURE.value else amplitude_asymptotic(d, t, order=2)
+                for r in pointwise] for t in grid.tolist()]
+    for j, r in enumerate(pointwise):
+        out[r] = (np.array([row[j].value for row in samples], dtype=complex),
+                  np.array([row[j].est_error for row in samples], dtype=float))
+    return out
+
+
 def cmd_amplitude(cfg: RunConfig) -> int:
     cfg.validate()
     d = NormalizedDensity.from_params(cfg.model())
+    grid = cfg.time_grid()
+    columns = {}
+    for route, (value, est) in _route_samples(d, grid, cfg).items():
+        a_abs = np.abs(value)
+        columns[route] = (value.real.tolist(), value.imag.tolist(),
+                          a_abs.tolist(), np.square(a_abs).tolist(), est.tolist())
     rows = []
-    for t in cfg.time_grid():
-        t = float(t)
+    for k, t in enumerate(grid.tolist()):
         for route in cfg.routes:
-            if route == Route.CLOSED_FORM.value:
-                s = amplitude_closed_form(d, t)
-            elif route == Route.QUADRATURE.value:
-                s = amplitude_quadrature(d, t, cfg.quadrature)
-            else:
-                s = amplitude_asymptotic(d, t, order=2)
-            rows.append({
-                "t": t,
-                "re_a": s.value.real,
-                "im_a": s.value.imag,
-                "abs_a": abs(s.value),
-                "p_t": s.p,
-                "route": s.route.value,
-                "est_error": s.est_error,
-            })
+            re_a, im_a, abs_a, p_t, est = (col[k] for col in columns[route])
+            rows.append({"t": t, "re_a": re_a, "im_a": im_a, "abs_a": abs_a,
+                         "p_t": p_t, "route": route, "est_error": est})
     _emit(rows, _AMPLITUDE_HEADER, cfg)
     return EXIT_OK
 
@@ -205,34 +234,32 @@ _HAMILTONIAN_HEADER = ["t", "re_h", "im_h", "energy", "rate", "route",
 def cmd_hamiltonian(cfg: RunConfig) -> int:
     cfg.validate()
     d = NormalizedDensity.from_params(cfg.model())
+    grid = cfg.time_grid()
+    s = effective_hamiltonian(d, grid)
+    columns = {
+        "t": grid.tolist(),
+        "re_h": s.h.real.tolist(),
+        "im_h": s.h.imag.tolist(),
+        "energy": s.energy.tolist(),
+        "rate": s.rate.tolist(),
+        "conditioning_flag": s.ill_conditioned.astype(int).tolist(),
+    }
     header = list(_HAMILTONIAN_HEADER)
     if cfg.fd_check:
         header += ["fd_re_h", "fd_im_h", "fd_rel_diff"]
-    rows = []
-    for t in cfg.time_grid():
-        t = float(t)
-        s = effective_hamiltonian(d, t)
-        row = {
-            "t": t,
-            "re_h": s.h.real,
-            "im_h": s.h.imag,
-            "energy": s.energy,
-            "rate": s.rate,
-            "route": s.route.value,
-            "conditioning_flag": int(s.ill_conditioned),
-        }
-        if cfg.fd_check:
-            fd = effective_hamiltonian_fd(d, t)
-            diff = abs(fd.h - s.h) / max(abs(s.h), 1e-300)
-            row["fd_re_h"] = fd.h.real
-            row["fd_im_h"] = fd.h.imag
-            row["fd_rel_diff"] = diff
-            if not s.ill_conditioned and diff > 1e-5:
-                raise KhalfinError(
-                    f"finite-difference cross-check failed at t={t:g}: "
-                    f"relative difference {diff:g}"
-                )
-        rows.append(row)
+        fd = effective_hamiltonian_fd(d, grid)
+        diff = np.abs(fd.h - s.h) / np.maximum(np.abs(s.h), 1e-300)
+        failed = np.flatnonzero(~s.ill_conditioned & (diff > 1e-5))
+        if failed.size:
+            k = failed[0]
+            raise KhalfinError(
+                f"finite-difference cross-check failed at t={grid[k]:g}: "
+                f"relative difference {diff[k]:g}"
+            )
+        columns.update(fd_re_h=fd.h.real.tolist(), fd_im_h=fd.h.imag.tolist(),
+                       fd_rel_diff=diff.tolist())
+    route = s.route.value
+    rows = [dict(zip(columns, cells), route=route) for cells in zip(*columns.values())]
     _emit(rows, header, cfg)
     return EXIT_OK
 

@@ -27,6 +27,9 @@ class ResonanceParams:
     hbar: float = 1.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.e_min) and math.isfinite(self.e0)
+                and math.isfinite(self.gamma0) and math.isfinite(self.hbar)):
+            raise DomainError("e_min, e0, gamma0 and hbar must be finite")
         if not self.gamma0 > 0:
             raise DomainError("gamma0 must be > 0")
         if not self.hbar > 0:

@@ -22,10 +22,11 @@ import numpy as np
 
 from .density import NormalizedDensity
 from .errors import AmplitudeUnderflowError, DomainError, FitError
+from .numerics import _flat, _unflat
 from .survival import (
     AmplitudeSample,
-    amplitude_closed_form,
-    delta_amplitude,
+    _closed_form,
+    _delta,
     power_tail_coefficient,
 )
 
@@ -40,12 +41,15 @@ class HamiltonianRoute(enum.Enum):
 
 @dataclass(frozen=True)
 class HamiltonianSample:
-    t: float
-    h: complex
-    energy: float
-    rate: float
+    """h(t) at one time, or at each of an array of times (then every field
+    but route is an array of the same shape)."""
+
+    t: float | np.ndarray
+    h: complex | np.ndarray
+    energy: float | np.ndarray
+    rate: float | np.ndarray
     route: HamiltonianRoute
-    ill_conditioned: bool = False
+    ill_conditioned: bool | np.ndarray = False
 
     @classmethod
     def from_h(cls, t, h, route, ill_conditioned=False):
@@ -53,54 +57,69 @@ class HamiltonianSample:
                    route=route, ill_conditioned=ill_conditioned)
 
 
-def _conditioning(d: NormalizedDensity, t: float, a_abs: float) -> bool:
+def _conditioning(d: NormalizedDensity, t: np.ndarray, a_abs: np.ndarray) -> np.ndarray:
     """Interference between the pole and power-law terms can drive a(t)
     through near-zeros around the crossover time, where h(t) spikes.
     Flag samples where |a| sits far below its two-term envelope."""
     p = d.params
     v = 0.5 * p.gamma0 * t / p.hbar
-    envelope = d.norm_n * math.exp(-min(v, 745.0)) + power_tail_coefficient(d) / t
+    envelope = d.norm_n * np.exp(-np.minimum(v, 745.0)) + power_tail_coefficient(d) / t
     return a_abs < 2e-2 * envelope
 
 
-def effective_hamiltonian(d: NormalizedDensity, t: float) -> HamiltonianSample:
-    """Exact-ratio route: h(t) = pole + delta_a(t)/a(t)."""
-    if t <= 0:
-        raise DomainError("t must be > 0 (energy diverges as t -> 0+)")
-    a = amplitude_closed_form(d, t).value
-    a_abs = abs(a)
-    if a_abs < 1e-250:
-        raise AmplitudeUnderflowError(f"|a({t})| ~ {a_abs:g}: amplitude vanished")
-    h = d.params.pole + delta_amplitude(d, t) / a
+def _require_nonvanishing(t: np.ndarray, a_abs: np.ndarray) -> None:
+    vanished = np.flatnonzero(a_abs < 1e-250)
+    if vanished.size:
+        k = vanished[0]
+        raise AmplitudeUnderflowError(
+            f"|a({float(t[k])})| ~ {a_abs[k]:g}: amplitude vanished")
+
+
+def _sample(d, t, shape, h, a_abs, route) -> HamiltonianSample:
     return HamiltonianSample.from_h(
-        t, h, HamiltonianRoute.EXACT_RATIO, _conditioning(d, t, a_abs)
+        _unflat(t, shape), _unflat(h, shape), route,
+        _unflat(_conditioning(d, t, a_abs), shape),
     )
 
 
-def effective_hamiltonian_fd(d: NormalizedDensity, t: float) -> HamiltonianSample:
+def effective_hamiltonian(d: NormalizedDensity, t) -> HamiltonianSample:
+    """Exact-ratio route: h(t) = pole + delta_a(t)/a(t).
+
+    t may be a scalar or an array; a(t) and delta_a(t) come from one E1
+    call on [z1; z2], delta_a reusing E1s(z1) of the amplitude.
+    """
+    tt, shape = _flat(t, float)
+    if np.any(tt <= 0):
+        raise DomainError("t must be > 0 (energy diverges as t -> 0+)")
+    a, _, e1s_z1 = _closed_form(d, tt, with_z1=True)
+    a_abs = np.abs(a)
+    _require_nonvanishing(tt, a_abs)
+    h = d.params.pole + _delta(d, tt, e1s_z1) / a
+    return _sample(d, tt, shape, h, a_abs, HamiltonianRoute.EXACT_RATIO)
+
+
+def effective_hamiltonian_fd(d: NormalizedDensity, t) -> HamiltonianSample:
     """Finite-difference route: Richardson-extrapolated central difference
-    of the closed-form amplitude, divided by a(t)."""
+    of the closed-form amplitude, divided by a(t).
+
+    t may be a scalar or an array; a(t) and the four stencil points of
+    every t come from one E1 call.
+    """
     p = d.params
-    step = _EPS ** (1.0 / 3.0) * max(t, p.lifetime)
-    if t <= 2.0 * step:
+    tt, shape = _flat(t, float)
+    step = _EPS ** (1.0 / 3.0) * np.maximum(tt, p.lifetime)
+    if np.any(tt <= 2.0 * step):
         raise DomainError("t too small for the finite-difference stencil")
-    a = amplitude_closed_form(d, t).value
-    a_abs = abs(a)
-    if a_abs < 1e-250:
-        raise AmplitudeUnderflowError(f"|a({t})| ~ {a_abs:g}: amplitude vanished")
-
-    def central(hh):
-        ap = amplitude_closed_form(d, t + hh).value
-        am = amplitude_closed_form(d, t - hh).value
-        return (ap - am) / (2.0 * hh)
-
-    d1 = central(step)
-    d2 = central(0.5 * step)
+    half = 0.5 * step
+    stencil = np.concatenate([tt, tt + step, tt - step, tt + half, tt - half])
+    a, ap, am, ahp, ahm = _closed_form(d, stencil)[0].reshape(5, -1)
+    a_abs = np.abs(a)
+    _require_nonvanishing(tt, a_abs)
+    d1 = (ap - am) / (2.0 * step)
+    d2 = (ahp - ahm) / (2.0 * half)
     deriv = (4.0 * d2 - d1) / 3.0
     h = 1j * p.hbar * deriv / a
-    return HamiltonianSample.from_h(
-        t, h, HamiltonianRoute.FINITE_DIFFERENCE, _conditioning(d, t, a_abs)
-    )
+    return _sample(d, tt, shape, h, a_abs, HamiltonianRoute.FINITE_DIFFERENCE)
 
 
 def hamiltonian_asymptotic(d: NormalizedDensity, t: float) -> HamiltonianSample:

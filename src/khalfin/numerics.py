@@ -51,131 +51,174 @@ class QuadratureSpec:
 # ---------------------------------------------------------------------------
 # complex exponential integral E1
 # ---------------------------------------------------------------------------
+#
+# Every E1 routine takes a complex scalar or an array.  An array is
+# flattened, each algorithm branch runs once over its own elements, and
+# iterative branches retire each element as it converges, so an element's
+# value never depends on the rest of the array.  In-place complex
+# multiplication is avoided: NumPy rounds `x *= y` differently for one
+# element than for several.
 
-def _check_e1_domain(z: complex) -> None:
-    if z == 0:
+def _flat(x, dtype):
+    """x as a flat array of dtype, and the shape to restore with _unflat."""
+    a = np.asarray(x, dtype=dtype)
+    return a.ravel(), a.shape
+
+
+def _unflat(values: np.ndarray, shape):
+    """values in the caller's shape; a Python scalar for scalar input."""
+    return values.reshape(shape) if shape else values.item()
+
+
+def _complex(re, im) -> np.ndarray:
+    """Elementwise complex(re, im) of two real arrays of one shape, without
+    rounding."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _e1_args(z):
+    """z as a flat complex array, checked against the domain of E1."""
+    zz, shape = _flat(z, complex)
+    if np.any(zz == 0):
         raise DomainError("E1 is singular at z = 0")
-    if z.imag == 0 and z.real < 0:
+    if np.any((zz.imag == 0) & (zz.real < 0)):
         raise DomainError("E1 branch cut: z on the negative real axis")
+    return zz, shape
 
 
-def _e1_series(z: complex) -> complex:
-    """Power series around 0, reliable for |z| <= ~6.
+def _e1_series(z: np.ndarray) -> np.ndarray:
+    """Power series around 0 (unscaled E1), for |z| < 40 with
+    |z| + Re z <= 4.
 
     E1(z) = -euler_gamma - ln z + sum_{k>=1} (-1)^{k+1} z^k / (k * k!)
+
+    The terms sum to about e^{|z|}/|z| in magnitude and E1 is about
+    e^{-Re z}/|z|, so cancellation costs a factor e^{|z| + Re z}: at most
+    e^4 here, where at z = 6 it would cost 5e-12.  Beside the branch cut
+    (Re z < 0, |Im z| small) the terms share nearly one phase and the
+    series is accurate out to |z| = 40.  An element that has converged
+    gets zero terms from then on, which leave its sum unchanged.
     """
-    terms_re = [-EULER_GAMMA]
-    terms_im = [0.0]
-    lz = cmath.log(z)
-    terms_re.append(-lz.real)
-    terms_im.append(-lz.imag)
-    u = 1.0 + 0.0j  # z^k / k!
+    s = -EULER_GAMMA - np.log(z)
+    u = np.ones_like(z)  # z^k / k!
     for k in range(1, 200):
-        u *= z / k
-        t = -u / k if (k % 2 == 0) else u / k
-        terms_re.append(t.real)
-        terms_im.append(t.imag)
-        if abs(u) / k < 1e-20:
-            break
-    else:
-        raise ConvergenceError("E1 power series did not converge")
-    return complex(math.fsum(terms_re), math.fsum(terms_im))
+        u = u * (z / k)
+        s = s + (u / k if k % 2 else -u / k)
+        done = np.abs(u) / k < 1e-20
+        if done.all():
+            return s
+        u = np.where(done, 0.0, u)
+    raise ConvergenceError("E1 power series did not converge")
 
 
-def _e1_cf_scaled(z: complex, max_iter: int = 600) -> complex:
+def _e1_cf_scaled(z: np.ndarray, max_iter: int = 600) -> np.ndarray:
     """Modified Lentz continued fraction for e^z E1(z).
 
     e^z E1(z) = 1 / (z + 1 - 1/(z + 3 - 4/(z + 5 - 9/(...))))
-    Converges away from the branch cut; used for |z| > 6 with
-    Re z >= 0 or |Im z| >= 6.
+    Converges off the branch cut, slowly near it; used where neither
+    series applies (|z| + Re z > 4, or |z| >= 40 with |Im z| >= 6), which
+    keeps it under ~60 steps.  Only the elements still short of
+    convergence are iterated.
     """
     tiny = 1e-300
+    out = np.empty_like(z)
+    idx = np.arange(z.size)
     f = z + 1.0
-    if f == 0:
-        f = tiny
-    c = f
-    d = 0.0 + 0.0j
+    f[f == 0] = tiny
+    c = f.copy()
+    d = np.zeros_like(z)
     for k in range(1, max_iter):
+        if idx.size == 0:
+            return out
         a = -float(k * k)
         b = z + (2 * k + 1)
         d = b + a * d
-        if d == 0:
-            d = tiny
+        d[d == 0] = tiny
         c = b + a / c
-        if c == 0:
-            c = tiny
+        c[c == 0] = tiny
         d = 1.0 / d
         delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return 1.0 / f
-    raise ConvergenceError("E1 continued fraction did not converge")
+        f = f * delta
+        done = np.abs(delta - 1.0) < 1e-16
+        if done.any():
+            out[idx[done]] = 1.0 / f[done]
+            keep = ~done
+            idx, z, f, c, d = idx[keep], z[keep], f[keep], c[keep], d[keep]
+    if idx.size:
+        raise ConvergenceError("E1 continued fraction did not converge")
+    return out
 
 
-def _e1_asym_scaled(z: complex) -> complex:
+def _e1_asym_scaled(z: np.ndarray) -> np.ndarray:
     """Full asymptotic series for e^z E1(z), truncated at its smallest term.
 
     Accurate to ~e^{-|z|}; only used for |z| >= 40 where that beats 1e-16.
+    Converged elements get zero terms, as in _e1_series.
     """
-    s = 0.0 + 0.0j
+    s = np.zeros_like(z)
     term = 1.0 / z
-    prev = abs(term)
+    prev = np.abs(term)
     for k in range(1, 200):
-        s += term
-        term *= -k / z
-        a = abs(term)
-        if a >= prev or a < 1e-18 * abs(s):
+        s = s + term
+        term = term * (-k / z)
+        a = np.abs(term)
+        done = (a >= prev) | (a < 1e-18 * np.abs(s))
+        if done.all():
             break
+        term = np.where(done, 0.0, term)
         prev = a
     return s
 
 
-def _e1_mpmath(z: complex, scaled: bool) -> complex:
-    # Awkward sector (moderate |z| near the negative real axis) where neither
-    # the series, the continued fraction, nor the asymptotic series is
-    # trustworthy in double precision.  Rarely hit; accuracy over speed.
-    import mpmath as mp
+def _e1(z: np.ndarray, scaled: bool) -> np.ndarray:
+    """E1 (or e^z E1 when scaled) of a flat, domain-checked array, with
+    one pass of each branch over its own elements."""
+    r = np.abs(z)
+    series = (r + z.real <= 4.0) & (r < 40.0)
+    asym = (r >= 40.0) & (z.real < 0) & (np.abs(z.imag) < 6.0)
+    cf = ~(series | asym)
+    out = np.empty_like(z)
+    if series.any():
+        zs = z[series]
+        out[series] = np.exp(zs) * _e1_series(zs) if scaled else _e1_series(zs)
+    if cf.any():
+        out[cf] = _e1_cf_scaled(z[cf])
+    if asym.any():
+        out[asym] = _e1_asym_scaled(z[asym])
+    if not scaled:
+        out[~series] = out[~series] * np.exp(-z[~series])
+    return out
 
-    with mp.workdps(30):
-        v = mp.e1(mp.mpc(z))
-        if scaled:
-            v = v * mp.exp(mp.mpc(z))
-        return complex(v)
 
-
-def exp_integral_e1_scaled(z: complex) -> complex:
+def exp_integral_e1_scaled(z):
     """Overflow-safe scaled exponential integral e^z E1(z).
 
     For |z| -> infinity this tends to (1/z)(1 - 1/z + 2/z^2 - ...), so it
     stays representable where either factor alone would over/underflow.
+    Takes a complex scalar (returns a Python complex) or an array (returns
+    an array of the same shape).
     """
-    z = complex(z)
-    _check_e1_domain(z)
-    if abs(z) <= 6.0:
-        return cmath.exp(z) * _e1_series(z)
-    if z.real >= 0 or abs(z.imag) >= 6.0:
-        return _e1_cf_scaled(z)
-    if abs(z) >= 40.0:
-        return _e1_asym_scaled(z)
-    return _e1_mpmath(z, scaled=True)
+    zz, shape = _e1_args(z)
+    return _unflat(_e1(zz, scaled=True), shape)
 
 
-def exp_integral_e1(z: complex) -> complex:
+def exp_integral_e1(z):
     """Principal-branch complex exponential integral E1(z).
 
     E1(z) = integral_1^inf e^{-z t}/t dt, valid off the negative real axis.
     Raises RangeOverflowError when the result magnitude would overflow
-    (deep left half-plane); use the scaled form there.
+    (deep left half-plane); use the scaled form there.  Takes a scalar or
+    an array, like exp_integral_e1_scaled.
     """
-    z = complex(z)
-    _check_e1_domain(z)
-    if abs(z) <= 6.0:
-        return _e1_series(z)
-    if -z.real > _EXP_OVERFLOW:
+    zz, shape = _e1_args(z)
+    if np.any(-zz.real > _EXP_OVERFLOW):
         raise RangeOverflowError(
             "e^{-z} overflows for Re z < -700; use exp_integral_e1_scaled"
         )
-    return cmath.exp(-z) * exp_integral_e1_scaled(z)
+    return _unflat(_e1(zz, scaled=False), shape)
 
 
 def e1_asymptotic(z: complex, n_terms: int) -> complex:

@@ -77,11 +77,17 @@ def load_catalog(path, shared_e_min: Optional[float] = None,
         if reader.fieldnames is None or not {"id", "e0", "gamma0"} <= set(reader.fieldnames):
             raise CatalogError("catalog header must contain id,e0,gamma0[,e_min]")
         for row in reader:
-            e_min = float(row["e_min"]) if row.get("e_min") not in (None, "") else default_e_min
+            try:
+                e_min = float(row["e_min"]) if row.get("e_min") not in (None, "") else default_e_min
+                e0, gamma0 = float(row["e0"]), float(row["gamma0"])
+            except (TypeError, ValueError) as exc:
+                raise CatalogError(
+                    f"catalog line {reader.line_num} (id {row['id']!r}): "
+                    "missing or non-numeric e0, gamma0 or e_min"
+                ) from exc
             lines.append(SpectralLine(
                 row["id"],
-                ResonanceParams(e_min=e_min, e0=float(row["e0"]),
-                                gamma0=float(row["gamma0"]), hbar=hbar),
+                ResonanceParams(e_min=e_min, e0=e0, gamma0=gamma0, hbar=hbar),
             ))
     return LineCatalog(tuple(lines), shared_e_min=shared_e_min)
 

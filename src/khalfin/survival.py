@@ -21,11 +21,16 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .density import NormalizedDensity
 from .errors import DomainError
 from .numerics import (
     QuadratureSpec,
+    _complex,
+    _flat,
     _integrate_oscillatory,
+    _unflat,
     exp_integral_e1_scaled,
 )
 
@@ -40,45 +45,83 @@ class Route(enum.Enum):
 
 @dataclass(frozen=True)
 class AmplitudeSample:
-    """One evaluation of the survival amplitude."""
+    """The survival amplitude at one time, or at each of an array of times
+    (then t, value and est_error are arrays of the same shape)."""
 
-    t: float
-    value: complex
+    t: float | np.ndarray
+    value: complex | np.ndarray
     route: Route
-    est_error: float
+    est_error: float | np.ndarray
 
     @property
-    def p(self) -> float:
+    def p(self):
         """Survival probability |a(t)|^2."""
-        return abs(self.value) ** 2
+        p = np.square(np.abs(self.value))
+        return p if np.ndim(p) else float(p)
 
 
-def _phase_args(d: NormalizedDensity, t: float):
+def _phase_args(d: NormalizedDensity, t):
     p = d.params
     u = (p.e0 - p.e_min) * t / p.hbar
     v = 0.5 * p.gamma0 * t / p.hbar
     return u, v
 
 
-def amplitude_closed_form(d: NormalizedDensity, t: float) -> AmplitudeSample:
-    """Closed-form survival amplitude; overflow-safe for all t >= 0."""
-    if t < 0:
-        raise DomainError("t must be >= 0")
-    if t == 0.0:
-        return AmplitudeSample(0.0, 1.0 + 0.0j, Route.CLOSED_FORM, 0.0)
+def _threshold_phase(d: NormalizedDensity, t: np.ndarray) -> np.ndarray:
+    """e^{-i e_min t/hbar}."""
+    return np.exp(_complex(np.zeros_like(t), -(d.params.e_min * t / d.params.hbar)))
+
+
+def _delta(d: NormalizedDensity, t: np.ndarray, e1s_z1: np.ndarray) -> np.ndarray:
+    """delta_a(t) from E1s(z1)."""
+    p = d.params
+    return d.norm_n * p.gamma0 / TWO_PI * _threshold_phase(d, t) * e1s_z1
+
+
+def _closed_form(d: NormalizedDensity, t: np.ndarray, with_z1: bool = False):
+    """(a(t), est_error, E1s(z1)) on a flat array of t >= 0, from one call
+    of the E1 kernel on [z1; z2].
+
+    E1s(z1) is evaluated where a(t) needs it, and at every t > 0 when
+    with_z1 is set (the effective Hamiltonian needs it for delta_a);
+    elsewhere it is NaN.
+    """
     p = d.params
     u, v = _phase_args(d, t)
-    if max(u, v) < 1e-250:
-        # a(t) = 1 - O(t ln t); below this scale the phase arguments
-        # degenerate in double precision, so join the exact t = 0 value
-        return AmplitudeSample(t, 1.0 + 0.0j, Route.CLOSED_FORM, 1e-240)
-    z1 = complex(v, -u)
-    z2 = complex(-v, -u)
-    bracket = exp_integral_e1_scaled(z2) - exp_integral_e1_scaled(z1)
-    pole = d.norm_n * cmath.exp(complex(-v, -p.e0 * t / p.hbar))
-    tail = (1j * d.norm_n / TWO_PI) * cmath.exp(-1j * p.e_min * t / p.hbar) * bracket
-    est = 5e-14 * (1.0 + 2.0 * v)
-    return AmplitudeSample(t, pole + tail, Route.CLOSED_FORM, est)
+    z1 = _complex(v, -u)
+    z2 = _complex(-v, -u)
+    # a(t) = 1 - O(t ln t); below this scale the phase arguments
+    # degenerate in double precision, so join the exact t = 0 value
+    # (written so that a NaN t takes the general path and fails there)
+    general = ~(np.maximum(u, v) < 1e-250)
+    need_z1 = general | (with_z1 & (t > 0))
+    n1 = np.count_nonzero(need_z1)
+    e1s = exp_integral_e1_scaled(np.concatenate([z1[need_z1], z2[general]]))
+    e1s_z1 = np.full_like(z1, np.nan)
+    e1s_z1[need_z1] = e1s[:n1]
+    bracket = e1s[n1:] - e1s_z1[general]
+
+    tg, vg = t[general], v[general]
+    pole = d.norm_n * np.exp(_complex(-vg, -p.e0 * tg / p.hbar))
+    tail = (1j * d.norm_n / TWO_PI) * _threshold_phase(d, tg) * bracket
+    value = np.ones_like(z1)
+    value[general] = pole + tail
+    est = np.where(t == 0.0, 0.0, 1e-240)
+    est[general] = 5e-14 * (1.0 + 2.0 * vg)
+    return value, est, e1s_z1
+
+
+def amplitude_closed_form(d: NormalizedDensity, t) -> AmplitudeSample:
+    """Closed-form survival amplitude; overflow-safe for all t >= 0.
+
+    t may be a scalar or an array; the whole array costs one E1 call.
+    """
+    tt, shape = _flat(t, float)
+    if np.any(tt < 0):
+        raise DomainError("t must be >= 0")
+    value, est, _ = _closed_form(d, tt)
+    return AmplitudeSample(_unflat(tt, shape), _unflat(value, shape),
+                           Route.CLOSED_FORM, _unflat(est, shape))
 
 
 def amplitude_quadrature(d: NormalizedDensity, t: float,
@@ -131,26 +174,21 @@ def amplitude_asymptotic(d: NormalizedDensity, t: float,
     return AmplitudeSample(t, value, Route.ASYMPTOTIC, abs(terms[order]))
 
 
-def delta_amplitude(d: NormalizedDensity, t: float) -> complex:
+def delta_amplitude(d: NormalizedDensity, t):
     """Correction term coupling the amplitude to its time derivative:
     i hbar da/dt = (e0 - i gamma0/2) a(t) + delta_a(t).
 
     Logarithmically singular at t = 0 (the model has divergent mean
-    energy), hence t > 0 is required.
+    energy), hence t > 0 is required.  t may be a scalar or an array.
     """
-    if t <= 0:
+    tt, shape = _flat(t, float)
+    if np.any(tt <= 0):
         raise DomainError("t must be > 0")
-    p = d.params
-    u, v = _phase_args(d, t)
-    z1 = complex(v, -u)
-    return (
-        d.norm_n * p.gamma0 / TWO_PI
-        * cmath.exp(-1j * p.e_min * t / p.hbar)
-        * exp_integral_e1_scaled(z1)
-    )
+    u, v = _phase_args(d, tt)
+    return _unflat(_delta(d, tt, exp_integral_e1_scaled(_complex(v, -u))), shape)
 
 
-def decay_law(d: NormalizedDensity, t: float) -> float:
+def decay_law(d: NormalizedDensity, t):
     """Survival probability P(t) = |a(t)|^2 via the closed form."""
     return amplitude_closed_form(d, t).p
 

@@ -33,11 +33,18 @@ def test_amplitude_csv_contract(capsys):
 def test_amplitude_multiple_routes(capsys):
     status, out, _ = run(capsys, "amplitude", "--x", "10", "--points", "3",
                          "--t-start", "50", "--t-stop", "200",
-                         "--routes", "closed_form,asymptotic")
+                         "--routes", "closed_form,quadrature,asymptotic")
     assert status == EXIT_OK
     rows = out.strip().splitlines()[1:]
-    assert len(rows) == 6
-    assert {r.split(",")[5] for r in rows} == {"closed_form", "asymptotic"}
+    assert len(rows) == 9
+    assert [r.split(",")[5] for r in rows[:3]] == \
+        ["closed_form", "quadrature", "asymptotic"]
+    # every numeric cell, the quadrature route's included, is a plain
+    # shortest round-trip float
+    for row in rows:
+        cells = row.split(",")
+        for cell in cells[:5] + cells[6:]:
+            assert repr(float(cell)) == cell
 
 
 def test_deterministic_repeat(capsys):
@@ -137,6 +144,9 @@ def test_out_file(tmp_path, capsys):
     ("redshift", "--catalog", "/no/such/file.csv"),      # unreadable catalog
     ("crossover", "--x", "0.5"),                         # below solver domain
     ("amplitude", "--config", "/no/such/config.json"),   # unreadable config
+    ("amplitude", "--x", "inf"),                         # non-finite model
+    ("amplitude", "--gamma0", "nan"),
+    ("amplitude", "--t-stop", "inf"),                    # non-finite sweep
 ])
 def test_config_errors_exit_2(capsys, argv):
     status, _, err = run(capsys, *argv)
@@ -149,6 +159,19 @@ def test_unknown_flag_exits_2(capsys):
     assert status == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("doc", [
+    {"sweep": {"t_start": "abc"}},
+    {"model": {"gamma0": "abc"}},
+    {"sweep": {"points": "5"}},
+])
+def test_wrongly_typed_config_exits_2(capsys, tmp_path, doc):
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps(doc))
+    status, _, err = run(capsys, "amplitude", "--config", str(cfg))
+    assert status == EXIT_CONFIG
+    assert "error" in err
+
+
 def test_malformed_config_document(capsys, tmp_path):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")
@@ -157,9 +180,13 @@ def test_malformed_config_document(capsys, tmp_path):
     assert "error" in err
 
 
-def test_malformed_catalog_exits_2(capsys, tmp_path):
+@pytest.mark.parametrize("text, where", [
+    ("id,e0\nline1,1.0\n", ""),                                # no gamma0 column
+    ("id,e0,gamma0\nline1,1.0,0.1\nline2,zz,0.1\n", "line 3"),  # non-numeric cell
+], ids=["missing_column", "non_numeric_cell"])
+def test_malformed_catalog_exits_2(capsys, tmp_path, text, where):
     cat = tmp_path / "cat.csv"
-    cat.write_text("id,e0\nline1,1.0\n")
+    cat.write_text(text)
     status, _, err = run(capsys, "redshift", "--catalog", str(cat))
     assert status == EXIT_CONFIG
-    assert "error" in err
+    assert "error" in err and where in err

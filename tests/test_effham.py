@@ -171,3 +171,37 @@ def test_fit_powerlaw_tail_errors(d100):
               for t in np.geomspace(1e3, 2e3, 12)]
     with pytest.raises(FitError):
         fit_powerlaw_tail(narrow, e_min=0.0)
+
+
+# ---------------------------------------------------------------------------
+# array inputs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("x", [0.3, 100.0])
+def test_array_equals_scalar_calls(x):
+    d = make_density(0.0, x, 1.0)
+    ts = np.array([1e-300, 1e-6, 0.05, 1.0, 13.0, 28.8, 300.0, 1e5])
+    for route, tt in ((effective_hamiltonian, ts), (effective_hamiltonian_fd, ts[2:])):
+        s = route(d, tt)
+        singles = [route(d, t) for t in tt.tolist()]
+        assert s.t.tolist() == tt.tolist()
+        assert s.h.tolist() == [r.h for r in singles]
+        assert s.energy.tolist() == [r.energy for r in singles]
+        assert s.rate.tolist() == [r.rate for r in singles]
+        assert s.ill_conditioned.tolist() == [r.ill_conditioned for r in singles]
+        assert s.route is singles[0].route
+
+
+def test_scalar_in_python_scalar_out(d100):
+    for route in (effective_hamiltonian, effective_hamiltonian_fd):
+        s = route(d100, np.float64(5.0))
+        assert type(s.t) is float and type(s.h) is complex
+        assert type(s.energy) is float and type(s.rate) is float
+        assert type(s.ill_conditioned) is bool
+
+
+def test_array_domain_errors(d100):
+    with pytest.raises(DomainError):
+        effective_hamiltonian(d100, np.array([1.0, 0.0]))
+    with pytest.raises(DomainError):
+        effective_hamiltonian_fd(d100, np.array([1.0, 1e-9]))

@@ -37,8 +37,9 @@ def e1_series_oracle(z: complex) -> complex:
     return s
 
 
-# a grid that exercises every algorithm region: series (|z| <= 6),
-# continued fraction, full asymptotic series, and the mpmath pocket
+# a grid that exercises every algorithm region: the power series (small
+# |z|, and beside the branch cut out to |z| = 40, e.g. -8+2j and -20-3j),
+# the continued fraction, and the full asymptotic series
 E1_GRID = [
     0.5 + 0.0j, 2.0 + 1.0j, -1.0 + 2.0j, 0.01 - 0.03j, 5.0 - 4.0j,
     8.0 + 0.0j, 10.0 - 30.0j, 50.0 + 50.0j, 200.0 + 5.0j, 3.0 + 300.0j,
@@ -66,6 +67,50 @@ def test_e1_matches_independent_series(z):
 
 @pytest.mark.parametrize("z", E1_GRID)
 def test_scaled_e1_defining_identity(z):
+    got = exp_integral_e1_scaled(z)
+    with mp.workdps(40):
+        ref = complex(mp.exp(mp.mpc(z)) * mp.e1(mp.mpc(z)))
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_e1_array_call_mixes_every_branch():
+    zs = np.array(E1_GRID + [6.0 + 0.0j, 3.0 + 3.0j, -39.0 + 5.9j,
+                             -45.0 - 1.0j, 1e4 - 1e4j])
+    scaled = exp_integral_e1_scaled(zs.reshape(4, 5))
+    assert scaled.shape == (4, 5)
+    scaled = scaled.ravel()
+    with mp.workdps(40):
+        for z, got in zip(zs, scaled):
+            ref = complex(mp.exp(mp.mpc(z)) * mp.e1(mp.mpc(z)))
+            assert abs(got - ref) <= 1e-12 * abs(ref), z
+    # each element is what a scalar call gives, bit for bit
+    assert scaled.tolist() == [exp_integral_e1_scaled(complex(z)) for z in zs]
+    plain = exp_integral_e1(zs[-zs.real <= 700])
+    assert plain.tolist() == [exp_integral_e1(complex(z))
+                              for z in zs[-zs.real <= 700]]
+
+
+def test_e1_scalar_in_python_complex_out():
+    assert type(exp_integral_e1_scaled(2.0)) is complex
+    assert type(exp_integral_e1(np.complex128(1.0 + 1.0j))) is complex
+
+
+@pytest.mark.parametrize("bad", [0.0 + 0.0j, -3.0 + 0.0j])
+def test_e1_array_domain_errors(bad):
+    zs = np.array([1.0 + 1.0j, bad, 50.0 - 2.0j])
+    with pytest.raises(DomainError):
+        exp_integral_e1_scaled(zs)
+    with pytest.raises(DomainError):
+        exp_integral_e1(zs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    log_r=st.floats(min_value=-3.0, max_value=4.0),
+    th=st.floats(min_value=-3.14159, max_value=3.14159),
+)
+def test_scaled_e1_whole_plane_vs_oracle(log_r, th):
+    z = cmath.rect(10.0 ** log_r, th)
     got = exp_integral_e1_scaled(z)
     with mp.workdps(40):
         ref = complex(mp.exp(mp.mpc(z)) * mp.e1(mp.mpc(z)))

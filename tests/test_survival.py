@@ -141,3 +141,62 @@ def test_domain_errors(d100):
         amplitude_asymptotic(d100, 1.0, order=3)
     with pytest.raises(DomainError):
         delta_amplitude(d100, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# array inputs
+# ---------------------------------------------------------------------------
+
+# t = 0, the degenerate tiny-t join, and every E1 branch from the
+# exponential era to the deep power-law tail
+T_MIX = np.array([0.0, 1e-300, 1e-9, 0.01, 0.5, 3.0, 47.0, 300.0, 2e3, 1e5])
+
+
+@pytest.mark.parametrize("x", [0.3, 100.0])
+def test_closed_form_array_equals_scalar_calls(x):
+    d = make_density(0.0, x, 1.0)
+    s = amplitude_closed_form(d, T_MIX)
+    assert s.route is Route.CLOSED_FORM
+    assert s.t.tolist() == T_MIX.tolist()
+    # a row never depends on the rest of the grid
+    assert s.value.tolist() == [amplitude_closed_form(d, t).value for t in T_MIX.tolist()]
+    assert s.est_error.tolist() == [amplitude_closed_form(d, t).est_error
+                                    for t in T_MIX.tolist()]
+    assert s.p.tolist() == [decay_law(d, t) for t in T_MIX.tolist()]
+    assert amplitude_closed_form(d, T_MIX[::-1]).value.tolist() == s.value.tolist()[::-1]
+    ts = T_MIX[1:]
+    assert delta_amplitude(d, ts).tolist() == [delta_amplitude(d, t) for t in ts.tolist()]
+
+
+def test_scalar_in_python_scalar_out(d100):
+    s = amplitude_closed_form(d100, np.float64(2.0))
+    assert type(s.t) is float and type(s.value) is complex
+    assert type(s.est_error) is float and type(s.p) is float
+    assert type(delta_amplitude(d100, 2.0)) is complex
+
+
+def test_array_shape_kept(d100):
+    ts = np.linspace(0.0, 10.0, 6).reshape(2, 3)
+    s = amplitude_closed_form(d100, ts)
+    assert s.value.shape == s.est_error.shape == s.t.shape == (2, 3)
+    assert delta_amplitude(d100, ts + 1.0).shape == (2, 3)
+
+
+def test_array_domain_errors(d100):
+    with pytest.raises(DomainError):
+        amplitude_closed_form(d100, np.array([1.0, -1.0]))
+    with pytest.raises(DomainError):
+        delta_amplitude(d100, np.array([1.0, 0.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log_x=st.floats(min_value=-3.0, max_value=6.0),
+    ts=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=20),
+)
+def test_closed_form_array_bounded(log_x, ts):
+    d = make_density(0.0, 10.0 ** log_x, 1.0)
+    s = amplitude_closed_form(d, np.array(ts))
+    a = np.abs(s.value)
+    assert np.all(np.isfinite(a)) and np.all(np.isfinite(s.est_error))
+    assert np.all(a <= 1.0 + s.est_error)
