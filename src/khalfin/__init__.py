@@ -23,7 +23,6 @@ from .effham import (
     powerlaw_hamiltonian,
 )
 from .numerics import (
-    QuadratureSpec,
     e1_asymptotic,
     exp_integral_e1,
     exp_integral_e1_scaled,

@@ -19,7 +19,7 @@ import math
 import numbers
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,8 +29,8 @@ from .crossover import APPROX_VALIDITY_X, solve_crossover
 from .density import NormalizedDensity, ResonanceParams
 from .effham import effective_hamiltonian, effective_hamiltonian_fd
 from .errors import CatalogError, ConfigError, DomainError, KhalfinError
-from .numerics import QuadratureSpec
-from .redshift import DopplerFrame, load_catalog, observed_line_table
+from .redshift import (DopplerFrame, crossover_time, load_catalog,
+                       observed_line_table)
 from .survival import (
     Route,
     amplitude_asymptotic,
@@ -67,7 +67,8 @@ class RunConfig:
     out_path: Optional[str] = None
     routes: tuple = (Route.CLOSED_FORM.value,)
     fd_check: bool = False
-    quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
+    # redshift evaluates at t_stop only when the config or a flag sets it
+    t_stop_given: bool = False
 
     def validate(self):
         for name in ("e_min", "e0", "gamma0", "hbar", "x", "t_start",
@@ -135,6 +136,7 @@ def _load_config(path: Optional[str]) -> RunConfig:
         cfg.t_start = sweep["t_start"]
     if "t_stop" in sweep:
         cfg.t_stop = sweep["t_stop"]
+        cfg.t_stop_given = True
     if "points" in sweep:
         cfg.points = sweep["points"]
     if "spacing" in sweep:
@@ -146,14 +148,6 @@ def _load_config(path: Optional[str]) -> RunConfig:
         cfg.out_format = outputs["format"]
     if "path" in outputs:
         cfg.out_path = outputs["path"]
-    tol = doc.get("tolerances", {})
-    if tol:
-        cfg.quadrature = QuadratureSpec(
-            rel_tol=tol.get("rel_tol", 1e-10),
-            abs_tol=tol.get("abs_tol", 1e-12),
-            max_subdivisions=tol.get("max_subdivisions", 200_000),
-            tail_truncation_multiplier=tol.get("tail_truncation_multiplier", 16.0),
-        )
     if "catalog_path" in doc:
         cfg.catalog_path = doc["catalog_path"]
     if "routes" in doc:
@@ -199,7 +193,7 @@ def _route_samples(d: NormalizedDensity, grid: np.ndarray, cfg: RunConfig) -> di
         s = amplitude_closed_form(d, grid)
         out[Route.CLOSED_FORM.value] = (s.value, s.est_error)
     pointwise = [r for r in routes if r != Route.CLOSED_FORM.value]
-    samples = [[amplitude_quadrature(d, t, cfg.quadrature)
+    samples = [[amplitude_quadrature(d, t)
                 if r == Route.QUADRATURE.value else amplitude_asymptotic(d, t, order=2)
                 for r in pointwise] for t in grid.tolist()]
     for j, r in enumerate(pointwise):
@@ -301,7 +295,7 @@ _REDSHIFT_HEADER = ["id", "e0", "e_inf", "e0_obs", "e_inf_obs",
                     "delta_pair_check"]
 
 
-def cmd_redshift(cfg: RunConfig, t_override: Optional[float]) -> int:
+def cmd_redshift(cfg: RunConfig) -> int:
     cfg.validate()
     if cfg.catalog_path is None:
         raise ConfigError("redshift requires a line catalog (--catalog)")
@@ -311,11 +305,10 @@ def cmd_redshift(cfg: RunConfig, t_override: Optional[float]) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot read catalog: {exc}") from exc
     frame = DopplerFrame(beta=cfg.beta)
-    if t_override is not None:
-        t = t_override
+    if cfg.t_stop_given:
+        t = cfg.t_stop
     else:
         # default evaluation age: comfortably past every line's crossover
-        from .redshift import crossover_time
         t = 50.0 * max(crossover_time(ln) for ln in catalog.resolved())
     rows = observed_line_table(catalog, frame, t)
     _emit(rows, _REDSHIFT_HEADER, cfg)
@@ -366,6 +359,8 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         v = getattr(args, arg_name, None)
         if v is not None:
             setattr(cfg, cfg_name, v)
+    if args.t_stop is not None:
+        cfg.t_stop_given = True
     if getattr(args, "log_spacing", None):
         cfg.log_spacing = True
     if getattr(args, "linear_spacing", None):
@@ -394,7 +389,7 @@ def main(argv=None) -> int:
                 return cmd_hamiltonian(cfg)
             if args.command == "crossover":
                 return cmd_crossover(cfg)
-            return cmd_redshift(cfg, t_override=getattr(args, "t_stop", None))
+            return cmd_redshift(cfg)
     except (ConfigError, CatalogError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

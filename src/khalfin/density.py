@@ -1,7 +1,7 @@
 """Spectral energy density of the model: a Breit-Wigner (Lorentzian)
 line truncated below a threshold energy, with exact normalization.
 
-The density abstraction (support threshold / evaluate / normalization)
+The density abstraction (threshold / evaluate / normalization)
 is kept minimal so that other below-bounded densities can be plugged in;
 only the truncated Breit-Wigner ships.
 """
@@ -87,24 +87,16 @@ class NormalizedDensity:
     def from_params(cls, params: ResonanceParams) -> "NormalizedDensity":
         return cls(params=params, norm_n=normalization_constant(params))
 
-    @property
-    def support_min(self) -> float:
-        return self.params.e_min
-
     def density_at(self, e):
         """omega(E): zero below threshold, Lorentzian above it.
 
         Accepts scalars or numpy arrays.
         """
-        import numpy as np
-
         p = self.params
         lor = (self.norm_n / (2.0 * math.pi)) * p.gamma0 / (
-            (e - p.e0) ** 2 + (0.5 * p.gamma0) ** 2
+            (e - p.e0) * (e - p.e0) + (0.5 * p.gamma0) ** 2
         )
-        return np.where(np.asarray(e) >= p.e_min, lor, 0.0) if np.ndim(e) else (
-            lor if e >= p.e_min else 0.0
-        )
+        return lor * (e >= p.e_min)
 
     def __call__(self, e):
         return self.density_at(e)

@@ -1,9 +1,9 @@
 """Special-function and quadrature kernel.
 
 Provides the complex exponential integral E1 (plain and overflow-safe
-scaled form e^z E1(z)), the real-branch Lambert W function, and an
-adaptive quadrature engine for semi-infinite Fourier-type integrals
-with a slowly decaying oscillatory tail.
+scaled form e^z E1(z)), the real-branch Lambert W function, and
+semi-infinite Fourier-type integrals with a slowly decaying
+oscillatory tail by QUADPACK's QAWO and QAWF.
 
 All functions here are pure; nothing holds mutable state.
 """
@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import warnings
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from .errors import ConvergenceError, DomainError, RangeOverflowError
 
@@ -26,26 +26,6 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 _EXP_OVERFLOW = 700.0
 
 _EPS = np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and budgets for the oscillatory quadrature engine."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 200_000
-    tail_truncation_multiplier: float = 16.0
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise DomainError("rel_tol must be > 0")
-        if not self.abs_tol >= 0:
-            raise DomainError("abs_tol must be >= 0")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
-        if self.tail_truncation_multiplier < 10:
-            raise DomainError("tail_truncation_multiplier must be >= 10")
 
 
 # ---------------------------------------------------------------------------
@@ -316,179 +296,78 @@ def lambert_w(branch: int, x: float) -> float:
 # semi-infinite oscillatory quadrature
 # ---------------------------------------------------------------------------
 
-_GL7 = np.polynomial.legendre.leggauss(7)
-_GL15 = np.polynomial.legendre.leggauss(15)
-
-
-def _segment_batch(f, a0: float, h: float, k_lo: int, k_hi: int, freq: float):
-    """Gauss-Legendre estimates (15- and 7-point) of
-    int f(u) e^{-i freq u} du over half-period segments [a0+k h, a0+(k+1) h]
-    for k in [k_lo, k_hi)."""
-    ks = np.arange(k_lo, k_hi, dtype=float)
-    starts = a0 + ks * h
-
-    def gl(nodes, weights):
-        u = starts[:, None] + (nodes[None, :] + 1.0) * (h / 2.0)
-        fv = np.asarray(f(u), dtype=complex)
-        ph = np.exp(-1j * freq * u)
-        return (fv * ph) @ weights * (h / 2.0)
-
-    t15 = gl(*_GL15)
-    t7 = gl(*_GL7)
-    return starts, t15, t7
-
-
-def _adaptive_segment(f, a: float, b: float, freq: float,
-                      critical: Sequence[float]):
-    """Adaptive Gauss-Kronrod on one segment, real and imaginary parts
-    separately, with interior breakpoints at the critical abscissae."""
-    pts = sorted(p for p in critical if a < p < b)
-
-    def gre(u):
-        return (f(u) * cmath.exp(-1j * freq * u)).real
-
-    def gim(u):
-        return (f(u) * cmath.exp(-1j * freq * u)).imag
-
-    kw = dict(limit=200, epsabs=1e-13, epsrel=1e-11)
-    if pts:
-        kw["points"] = pts
-    vr, er = quad(gre, a, b, **kw)
-    vi, ei = quad(gim, a, b, **kw)
-    return complex(vr, vi), er + ei
-
-
-def _euler_accelerate(terms: np.ndarray):
-    """Sum an alternating-by-construction series by repeated averaging of
-    its partial sums.  Returns (sum estimate, error estimate)."""
-    p = np.cumsum(terms)
-    prev = p[-1]
-    err = abs(terms[-1])
-    while len(p) > 2:
-        p = 0.5 * (p[:-1] + p[1:])
-        err = abs(p[-1] - prev)
-        prev = p[-1]
-    return prev, err
+# QUADPACK targets per piece (Piessens et al., QUADPACK, 1983); a result
+# QUADPACK warned about is kept if its summed error estimate is within
+# max(_ACCEPT_ABS, _ACCEPT_REL * |value|)
+_QUADPACK = dict(limit=200, epsabs=1e-13, epsrel=1e-11)
+_ACCEPT_ABS, _ACCEPT_REL = 1e-12, 1e-10
 
 
 def _integrate_oscillatory(f: Callable, lower: float, freq: float,
-                           spec: QuadratureSpec,
                            critical: Sequence[float] = ()):
-    """Core engine; returns (value, error estimate)."""
-    if freq < 0:
+    """Core engine; returns (value, error estimate).
+
+    QAWO integrates f cos and f sin between knots and QAWF beyond them.
+    The knots are lower, the critical abscissae above it, a tail start at
+    least a period past the last of them (so that QAWF's first cycle sees
+    a smooth integrand) and knots 1e3 * 16^k either side of the critical
+    abscissae: QUADPACK's first rule misses a unit-width peak at the end
+    of a piece much more than 1e4 long, and then reports a tiny value
+    with a tiny error.  With no usable weight (freq = 0, or a period that
+    overflows) QAGS integrates f alone, on the tail after a change of
+    variable: QAWF at wvar = 0 returns twice the integral.
+    """
+    if not freq >= 0:
         raise DomainError("freq must be >= 0")
+    period = 2.0 * math.pi / freq if freq else math.inf
+    weighted = math.isfinite(period)
+    peaks = sorted(c for c in critical if c > lower) or [lower]
+    last = peaks[-1]
+    tail = max(2.0 * last - lower, last + period if weighted else last)
+    grid = {lower, *peaks, tail}
+    step = 1e3
+    while peaks[0] - step > lower or last + step < tail:
+        grid.update(k for k in (peaks[0] - step, last + step)
+                    if lower < k < tail)
+        step *= 16.0
+    knots = sorted(grid)
+    span = (tail - lower) or 1.0
 
-    if freq == 0.0:
-        def gre(u):
-            return complex(f(u)).real
+    def mapped_tail(s):
+        # u = tail + span (1 - s)/s takes (0, 1] onto [tail, inf); QAGI's
+        # map is this one with span 1, which misses a decay over 1e5
+        return f(tail + span * (1.0 - s) / s) * span / (s * s)
 
-        def gim(u):
-            return complex(f(u)).imag
-
-        hi = max([lower + 1.0] + [c + 100.0 for c in critical])
-        pts = sorted(c for c in critical if lower < c < hi)
-        vr = vi = er = ei = 0.0
-        if pts or critical:
-            r1, e1_ = quad(gre, lower, hi, points=pts or None, limit=200)
-            i1, e2_ = quad(gim, lower, hi, points=pts or None, limit=200)
-            r2, e3_ = quad(gre, hi, np.inf, limit=200)
-            i2, e4_ = quad(gim, hi, np.inf, limit=200)
-            vr, vi, er, ei = r1 + r2, i1 + i2, e1_ + e3_, e2_ + e4_
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", IntegrationWarning)
+        if weighted:
+            parts = [[quad(f, a, b, weight=w, wvar=freq, **_QUADPACK)
+                      for a, b in zip(knots, knots[1:] + [math.inf])]
+                     for w in ("cos", "sin")]
         else:
-            vr, er = quad(gre, lower, np.inf, limit=200)
-            vi, ei = quad(gim, lower, np.inf, limit=200)
-        return complex(vr, vi), er + ei
-
-    h = math.pi / freq
-    n_dec_needed = max(10, int(spec.tail_truncation_multiplier))
-    n_tail = 48
-    batch = 512
-
-    terms: list[complex] = []
-    seg_err = 0.0
-    abs_accum = 0.0
-    t_max = 0.0
-    dec_run = 0
-    tiny_run = 0
-    k = 0
-    stop_mode = None  # "truncate" | "accelerate"
-
-    while stop_mode is None:
-        if k >= spec.max_subdivisions:
-            raise ConvergenceError(
-                "oscillatory quadrature: segment budget exhausted before the "
-                "tail became tractable"
-            )
-        k_hi = min(k + batch, spec.max_subdivisions)
-        starts, t15, t7 = _segment_batch(f, lower, h, k, k_hi, freq)
-        disagreement = np.abs(t15 - t7)
-        for j in range(len(starts)):
-            a = starts[j]
-            b = a + h
-            tk = t15[j]
-            d = disagreement[j]
-            has_crit = any(a < c < b for c in critical)
-            if has_crit or d > max(1e-13 * abs(tk), 1e-3 * spec.abs_tol):
-                tk, e = _adaptive_segment(f, a, b, freq, critical)
-                seg_err += e
-            mag = abs(tk)
-            prev_mag = abs(terms[-1]) if terms else math.inf
-            terms.append(tk)
-            abs_accum += mag
-            t_max = max(t_max, mag)
-            dec_run = dec_run + 1 if mag <= prev_mag * (1 + 1e-12) else 0
-            tiny_run = tiny_run + 1 if mag < 0.1 * spec.abs_tol else 0
-            if tiny_run >= 3:
-                stop_mode = "truncate"
-                break
-            if dec_run >= n_dec_needed and mag <= 1e-3 * t_max:
-                stop_mode = "accelerate"
-                break
-        k = len(terms)
-
-    head_re = math.fsum(t.real for t in terms)
-    head_im = math.fsum(t.imag for t in terms)
-    value = complex(head_re, head_im)
-    err = seg_err + 4.0 * _EPS * abs_accum
-
-    if stop_mode == "truncate":
-        # alternating, decreasing: remainder bounded by the first omitted term
-        err += abs(terms[-1])
-    else:
-        k = len(terms)
-        _, tail15, tail7 = _segment_batch(f, lower, h, k, k + n_tail, freq)
-        if np.max(np.abs(tail15 - tail7)) > 1e-10 * max(np.max(np.abs(tail15)), 1e-300):
-            raise ConvergenceError(
-                "oscillatory quadrature: tail segments not smooth enough for "
-                "series acceleration"
-            )
-        tail_val, tail_err = _euler_accelerate(tail15)
-        value += tail_val
-        err += tail_err + 4.0 * _EPS * float(np.sum(np.abs(tail15)))
-
-    # The eps * sum|T_k| component is the cancellation floor of double
-    # precision and cannot be reduced by more subdivisions; only the
-    # truncation/acceleration part is actionable.
-    actionable = err - 4.0 * _EPS * abs_accum
-    if actionable > max(spec.abs_tol, spec.rel_tol * abs(value)) * 10.0:
-        raise ConvergenceError(
-            f"oscillatory quadrature: error estimate {err:g} above tolerance"
-        )
+            parts = [[quad(f, a, b, **_QUADPACK)
+                      for a, b in zip(knots, knots[1:])]
+                     + [quad(mapped_tail, 0.0, 1.0, **_QUADPACK)]]
+    sums = [math.fsum(v for v, _ in part) for part in parts]
+    value = complex(sums[0], -sums[1]) if weighted else complex(sums[0])
+    err = math.fsum(e for part in parts for _, e in part)
+    accepted = cmath.isfinite(value) and math.isfinite(err) and (
+        not caught or err <= max(_ACCEPT_ABS, _ACCEPT_REL * abs(value)))
+    if not accepted:
+        raise ConvergenceError(f"oscillatory quadrature: value {value} with "
+                               f"error estimate {err:g} not accepted")
     return value, err
 
 
 def integrate_oscillatory(f: Callable, lower: float, freq: float,
-                          spec: QuadratureSpec | None = None,
                           critical: Sequence[float] = ()) -> complex:
     """Compute integral_lower^inf f(u) e^{-i freq u} du.
 
-    f must be absolutely integrable on [lower, inf) and accept numpy
-    arrays (vectorized evaluation over quadrature nodes).  `critical`
-    lists abscissae (sharp peaks of f) that the adaptive fallback must
-    resolve explicitly.  The oscillatory tail is summed over half-period
-    segments and accelerated once its envelope decays monotonically.
+    f maps a float to a real float and must be absolutely integrable on
+    [lower, inf).  `critical` lists abscissae (sharp peaks of f) that
+    become knots between QUADPACK pieces.  Raises ConvergenceError when
+    the result is not finite, or QUADPACK warned and its error estimate
+    exceeds max(1e-12, 1e-10 |value|).
     """
-    if spec is None:
-        spec = QuadratureSpec()
-    value, _ = _integrate_oscillatory(f, lower, freq, spec, critical)
+    value, _ = _integrate_oscillatory(f, lower, freq, critical)
     return value

@@ -26,7 +26,6 @@ import numpy as np
 from .density import NormalizedDensity
 from .errors import DomainError
 from .numerics import (
-    QuadratureSpec,
     _complex,
     _flat,
     _integrate_oscillatory,
@@ -124,18 +123,19 @@ def amplitude_closed_form(d: NormalizedDensity, t) -> AmplitudeSample:
                            Route.CLOSED_FORM, _unflat(est, shape))
 
 
-def amplitude_quadrature(d: NormalizedDensity, t: float,
-                         spec: QuadratureSpec | None = None) -> AmplitudeSample:
+def amplitude_quadrature(d: NormalizedDensity, t: float) -> AmplitudeSample:
     """Direct Fourier integral of the density; the independent cross-check
-    for the closed form (slow, intended for tests and spot checks)."""
+    for the closed form, intended for tests and spot checks.  est_error is
+    QUADPACK's summed error estimate."""
     if t < 0:
         raise DomainError("t must be >= 0")
-    if spec is None:
-        spec = QuadratureSpec()
     p = d.params
+    # in eps = (E - e_min)/gamma0 the peak sits at x with unit width, the
+    # scale of QUADPACK's absolute tolerance and of the engine's knots
     value, err = _integrate_oscillatory(
-        d.density_at, p.e_min, t / p.hbar, spec, critical=(p.e0,)
-    )
+        lambda eps: p.gamma0 * d.density_at(p.e_min + p.gamma0 * eps),
+        0.0, p.gamma0 * t / p.hbar, critical=(p.x,))
+    value *= cmath.exp(complex(0.0, -p.e_min * t / p.hbar))
     return AmplitudeSample(t, value, Route.QUADRATURE, err)
 
 

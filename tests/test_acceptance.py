@@ -56,10 +56,9 @@ def test_criterion_01_cross_route_amplitude():
     # closed form vs independent oscillatory quadrature on 50 log-spaced
     # times in [1e-2, 1e3] (units hbar/gamma0) for x in {1, 10, 100}.
     # Tolerance: 1e-8 relative with a 1e-10 absolute floor — at x = 100,
-    # t = 1e3 the quadrature's double-precision cancellation floor
-    # (~1e-13 absolute over ~1e5 accumulated segment magnitude) exceeds
-    # 1e-8 of |a| ~ 1.6e-8, so a pure relative tolerance is unattainable
-    # in double precision while the absolute floor is met with margin.
+    # t = 1e3, |a| ~ 1.6e-8, so 1e-8 relative would ask for 1.6e-16
+    # absolute, below QUADPACK's absolute target of 1e-13 per piece; the
+    # absolute floor is what the quadrature route can be held to there.
     worst_abs = worst_excess = 0.0
     for x in (1.0, 10.0, 100.0):
         d = make_density(0.0, x, 1.0)

@@ -107,6 +107,24 @@ def test_redshift_golden_file(capsys, demo_catalog_path):
     assert out == (GOLDEN / "redshift_demo.csv").read_text()
 
 
+def test_redshift_age_from_config(capsys, tmp_path, demo_catalog_path):
+    # sweep.t_stop in the config sets the evaluation age like --t-stop
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"sweep": {"t_stop": 5e4}}))
+    catalog = ("--catalog", str(demo_catalog_path))
+    _, default, _ = run(capsys, "redshift", *catalog)
+    _, flag, _ = run(capsys, "redshift", *catalog, "--t-stop", "5e4")
+    status, from_config, _ = run(capsys, "redshift", *catalog,
+                                 "--config", str(cfg))
+    assert status == EXIT_OK
+    assert from_config == flag != default
+    # the flag wins over the config document
+    _, both, _ = run(capsys, "redshift", *catalog, "--config", str(cfg),
+                     "--t-stop", "1e6")
+    _, flag_only, _ = run(capsys, "redshift", *catalog, "--t-stop", "1e6")
+    assert both == flag_only != flag
+
+
 def test_config_file_and_flag_override(capsys, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({

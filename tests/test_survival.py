@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from khalfin import (
@@ -16,7 +16,7 @@ from khalfin import (
     make_density,
     power_tail_coefficient,
 )
-from khalfin.errors import DomainError
+from khalfin.errors import ConvergenceError, DomainError
 
 
 def test_amplitude_at_zero_is_exactly_one(d100):
@@ -47,6 +47,61 @@ def test_closed_form_vs_quadrature_spot(d100):
         a = amplitude_closed_form(d100, t).value
         q = amplitude_quadrature(d100, t)
         assert abs(a - q.value) <= max(1e-9, 10.0 * q.est_error)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    x=_log_uniform(-2.0, 3.0),
+    t=st.one_of(st.just(0.0), _log_uniform(-3.0, 3.0)),
+)
+@example(x=1e3, t=1e3)  # the far corner of the x * t range
+@example(x=0.02, t=0.025)  # x < 1: the tail must start a period past e0
+def test_quadrature_matches_closed_form(x, t):
+    d = make_density(0.0, x, 1.0)
+    a = amplitude_closed_form(d, t).value
+    q = amplitude_quadrature(d, t).value
+    assert abs(q - a) <= max(1e-8 * abs(a), 1e-10)
+
+
+@pytest.mark.parametrize("t", [1e-310, 1e-200, 1e-50, 1e-6])
+@pytest.mark.parametrize("x", [0.02, 1.0, 1e3])
+def test_quadrature_small_t(x, t):
+    # a period of 2 pi / t spans millions of peak widths or more; a single
+    # QUADPACK piece that long misses the peak and returns about 0 with a
+    # tiny error.  At t = 1e-310 the period overflows.
+    d = make_density(0.0, x, 1.0)
+    a = amplitude_closed_form(d, t).value
+    q = amplitude_quadrature(d, t).value
+    assert abs(q - a) <= max(1e-8 * abs(a), 1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=_log_uniform(-3.0, 5.0),
+    gamma0=_log_uniform(-6.0, 6.0),
+    hbar=_log_uniform(-3.0, 3.0),
+    e_min=st.one_of(st.just(0.0), st.floats(min_value=-1e3, max_value=1e3)),
+    tau=st.one_of(st.just(0.0), _log_uniform(-12.0, 4.0)),
+)
+@example(x=1e6, gamma0=1.0, hbar=1.0, e_min=0.0, tau=0.0)  # tail 1e6 long
+@example(x=1.0, gamma0=1e-6, hbar=1.0, e_min=0.0, tau=1e-3)  # narrow line
+def test_quadrature_any_energy_scale(x, gamma0, hbar, e_min, tau):
+    # e_min in units of gamma0, tau = gamma0 t / hbar; the quadrature
+    # route agrees with the closed form or refuses, and refuses only where
+    # |a| is tiny and QUADPACK's error estimate exceeds 1e-12
+    d = make_density(e_min * gamma0, (e_min + x) * gamma0, gamma0, hbar)
+    t = tau * hbar / gamma0
+    a = amplitude_closed_form(d, t).value
+    try:
+        q = amplitude_quadrature(d, t).value
+    except ConvergenceError:
+        assert x * tau >= 1e6
+        return
+    assert abs(q - a) <= max(1e-8 * abs(a), 1e-10)
 
 
 def test_closed_form_deep_exponential_era_no_overflow():
