@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Scan the crossover time against the peak-offset ratio x and print a
-comparison of the exact Lambert-W root with the logarithmic
+comparison of the exact root with the logarithmic
 approximation (which overshoots at moderate x)."""
 
 import numpy as np

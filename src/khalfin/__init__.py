@@ -5,7 +5,8 @@ crossover time, and spectral-line redshift diagnostics."""
 
 __version__ = "0.1.0"
 
-from .crossover import CrossoverResult, paper_approx_crossover, solve_crossover
+from .crossover import (CrossoverResult, crossover_roots, paper_approx_crossover,
+                        solve_crossover)
 from .density import (
     NormalizedDensity,
     ResonanceParams,

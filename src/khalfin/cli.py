@@ -29,7 +29,7 @@ from .crossover import APPROX_VALIDITY_X, solve_crossover
 from .density import NormalizedDensity, ResonanceParams
 from .effham import effective_hamiltonian, effective_hamiltonian_fd
 from .errors import CatalogError, ConfigError, DomainError, KhalfinError
-from .redshift import (DopplerFrame, crossover_time, load_catalog,
+from .redshift import (DopplerFrame, crossover_times, load_catalog,
                        observed_line_table)
 from .survival import (
     Route,
@@ -112,6 +112,7 @@ class RunConfig:
         m = {k: getattr(self, k) for k in (
             "e_min", "e0", "gamma0", "hbar", "x", "t_start", "t_stop",
             "points", "log_spacing", "beta", "catalog_path", "out_format",
+            "fd_check",
         )}
         m["routes"] = list(self.routes)
         m["version"] = __version__
@@ -132,24 +133,18 @@ def _load_config(path: Optional[str]) -> RunConfig:
         if key in model:
             setattr(cfg, key, model[key])
     sweep = doc.get("sweep", {})
-    if "t_start" in sweep:
-        cfg.t_start = sweep["t_start"]
-    if "t_stop" in sweep:
-        cfg.t_stop = sweep["t_stop"]
-        cfg.t_stop_given = True
-    if "points" in sweep:
-        cfg.points = sweep["points"]
+    for key in ("t_start", "t_stop", "points"):
+        if key in sweep:
+            setattr(cfg, key, sweep[key])
+    cfg.t_stop_given = "t_stop" in sweep
     if "spacing" in sweep:
         if sweep["spacing"] not in ("linear", "log"):
             raise ConfigError("spacing must be 'linear' or 'log'")
         cfg.log_spacing = sweep["spacing"] == "log"
     outputs = doc.get("outputs", {})
-    if "format" in outputs:
-        cfg.out_format = outputs["format"]
-    if "path" in outputs:
-        cfg.out_path = outputs["path"]
-    if "catalog_path" in doc:
-        cfg.catalog_path = doc["catalog_path"]
+    cfg.out_format = outputs.get("format", cfg.out_format)
+    cfg.out_path = outputs.get("path", cfg.out_path)
+    cfg.catalog_path = doc.get("catalog_path", cfg.catalog_path)
     if "routes" in doc:
         cfg.routes = tuple(doc["routes"])
     return cfg
@@ -309,7 +304,7 @@ def cmd_redshift(cfg: RunConfig) -> int:
         t = cfg.t_stop
     else:
         # default evaluation age: comfortably past every line's crossover
-        t = 50.0 * max(crossover_time(ln) for ln in catalog.resolved())
+        t = 50.0 * float(crossover_times(catalog.resolved()).max())
     rows = observed_line_table(catalog, frame, t)
     _emit(rows, _REDSHIFT_HEADER, cfg)
     return EXIT_OK
@@ -323,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "truncated Breit-Wigner model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("amplitude", "hamiltonian", "crossover", "redshift"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--x", type=float, default=None)
@@ -346,6 +341,12 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "hamiltonian":
             p.add_argument("--fd-check", action="store_true")
     return parser
+
+
+_COMMANDS = {"amplitude": cmd_amplitude, "hamiltonian": cmd_hamiltonian,
+             "crossover": cmd_crossover, "redshift": cmd_redshift}
+# built once: parse_args keeps no state, and a build costs ~2 ms per call
+_PARSER = _build_parser()
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
@@ -374,22 +375,15 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         cfg = _apply_overrides(_load_config(args.config), args)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            if args.command == "amplitude":
-                return cmd_amplitude(cfg)
-            if args.command == "hamiltonian":
-                return cmd_hamiltonian(cfg)
-            if args.command == "crossover":
-                return cmd_crossover(cfg)
-            return cmd_redshift(cfg)
+            return _COMMANDS[args.command](cfg)
     except (ConfigError, CatalogError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

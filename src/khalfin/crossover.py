@@ -6,14 +6,14 @@ the decay law are comparable where
     e^{-s} = A / s^2,   A = (gamma0^4 / |pole - e_min|^4) / (4 pi^2)
                           = 1 / (4 pi^2 (x^2 + 1/4)^2).
 
-Squaring out, (-s/2) e^{-s/2} = -sqrt(A)/2, so both roots come from the
-real Lambert W branches; the physical crossover is the large root
-(branch -1).  Differentiating the relation gives
-ds/d ln x = 4 x^2/(x^2 + 1/4) / (1 - 2/s), which approaches 4 from
-above as x grows.  The classical logarithmic approximation
-s ~ 8.28 + 4 ln x + 2 ln(8.28 + 4 ln x) is also provided verbatim for
-comparison; for x = 100 it overshoots the exact root by roughly 15%,
-which the CLI surfaces explicitly.
+For x >= 1, 2 ln s - s - ln A = 0 has two real roots, either side of
+s = 2; the physical crossover is the large one.  `crossover_roots` finds
+both by Newton iteration on arrays of x, in ln A so that no x overflows.
+Differentiating the relation gives ds/d ln x = 4 x^2/(x^2 + 1/4) /
+(1 - 2/s), which approaches 4 from above as x grows.  The classical
+logarithmic approximation s ~ 8.28 + 4 ln x + 2 ln(8.28 + 4 ln x) is
+also provided verbatim for comparison; for x = 100 it overshoots the
+exact root by roughly 15%, which the CLI surfaces explicitly.
 """
 
 from __future__ import annotations
@@ -22,20 +22,23 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .density import NormalizedDensity
 from .errors import ConvergenceError, DomainError
-from .numerics import lambert_w
 
 APPROX_CONSTANT = 8.28
 APPROX_VALIDITY_X = 100.0
 
-_INV_E = math.exp(-1.0)
+_TWO_PI = 2.0 * math.pi
+_EPS = np.finfo(float).eps
 
 
 def dominance_coefficient(d: NormalizedDensity) -> float:
-    """The constant A of the crossover relation."""
+    """The constant A of the crossover relation (0 where it underflows)."""
     x = d.params.x
-    return 1.0 / (4.0 * math.pi ** 2 * (x * x + 0.25) ** 2)
+    q = x * x + 0.25
+    return 1.0 / (4.0 * math.pi ** 2 * (q * q))
 
 
 def crossover_equation_sides(d: NormalizedDensity, s: float):
@@ -45,9 +48,57 @@ def crossover_equation_sides(d: NormalizedDensity, s: float):
     return math.exp(-s), dominance_coefficient(d) / (s * s)
 
 
+def _newton(step, s: np.ndarray) -> np.ndarray:
+    """Newton from the seed s; each element retires once its step is below
+    1e-15 of it, so its value never depends on the rest of the array."""
+    active = np.ones(s.shape, dtype=bool)
+    for _ in range(60):
+        ds = np.where(active, step(s), 0.0)
+        s = s - ds
+        active &= np.abs(ds) > 1e-15 * s
+        if not active.any():
+            return s
+    raise ConvergenceError("crossover Newton iteration did not converge")
+
+
+def crossover_roots(x):
+    """Both real roots (s_small, s_large) of 2 ln s - s - ln A = 0 for an
+    array of finite x >= 1, as arrays of its shape.
+
+    The large root starts from L + 2 ln L (L = -ln A), the small one from
+    sqrt(A), on s = sqrt(A) e^{s/2}; it underflows past x ~ 2.6e153.  The
+    large root's residual in logarithms, the relative residual of
+    e^{-s} = A/s^2, must be <= 1e-12, or 4 eps s past s = 1126, where
+    e^{-s} is 0 in doubles and 4 eps s bounds the rounding of s.
+    """
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= 1.0) & (x < np.inf)):
+        raise DomainError("crossover solver requires a finite x >= 1")
+    huge = x > 1e150  # x^2 + 1/4 == x^2 here; x^2 overflows from 1.3e154
+    w = _TWO_PI * (np.where(huge, 1.0, x) ** 2 + 0.25)  # 1/sqrt(A)
+    log_a = -2.0 * np.where(huge, math.log(_TWO_PI) + 2.0 * np.log(x), np.log(w))
+    root_a = np.where(huge, 1.0 / x / x / _TWO_PI, 1.0 / w)
+
+    def large_step(s):
+        return (2.0 * np.log(s) - s - log_a) / (2.0 / s - 1.0)
+
+    def small_step(s):
+        e = root_a * np.exp(0.5 * s)
+        return (s - e) / (1.0 - 0.5 * e)
+
+    el = -log_a
+    s_large = _newton(large_step, el + 2.0 * np.log(el))
+    s_small = _newton(small_step, root_a)
+    g = np.abs(2.0 * np.log(s_large) - s_large - log_a)
+    bad = g > np.maximum(1e-12, 4.0 * _EPS * s_large)
+    if bad.any():
+        raise ConvergenceError(f"crossover root residual {g[bad].max():g} too large")
+    return s_small, s_large
+
+
 @dataclass(frozen=True)
 class CrossoverResult:
-    s_exact_small: float | None
+    s_exact_small: float
     s_exact_large: float
     s_paper_approx: float
     residual: float
@@ -71,70 +122,19 @@ def paper_approx_crossover(d: NormalizedDensity) -> float:
     return inner + 2.0 * math.log(inner)
 
 
-def _polish_root(s: float, log_a: float) -> float:
-    # Newton on f(s) = -s + 2 ln s - ln A  (zero where e^{-s} s^2 = A)
-    for _ in range(60):
-        f = -s + 2.0 * math.log(s) - log_a
-        fp = -1.0 + 2.0 / s
-        if fp == 0.0:
-            break
-        step = f / fp
-        s -= step
-        if abs(step) < 1e-15 * s:
-            break
-    return s
-
-
-def _bisect_root(log_a: float, lo: float, hi: float) -> float:
-    # g(s) = -s + 2 ln s - ln A is decreasing for s > 2; bracket the
-    # large root between its maximum and a generous upper bound.
-    def g(s):
-        return -s + 2.0 * math.log(s) - log_a
-
-    if g(lo) < 0 or g(hi) > 0:
-        raise ConvergenceError("bisection bracket failed for crossover root")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14 * hi:
-            break
-    return 0.5 * (lo + hi)
-
-
 def solve_crossover(d: NormalizedDensity) -> CrossoverResult:
-    """Exact crossover roots via Lambert W, with a bisection fallback."""
-    x = d.params.x
-    if x < 1.0:
-        raise DomainError("crossover solver requires x >= 1")
-    a = dominance_coefficient(d)
-    arg = -0.5 * math.sqrt(a)
-    if arg < -_INV_E:
-        raise DomainError("no crossover: the two contributions never separate")
-    log_a = math.log(a)
-    try:
-        s_large = -2.0 * lambert_w(-1, arg)
-    except ConvergenceError:
-        lo = 0.5 * (-log_a)
-        hi = 4.0 * (-log_a) + 100.0
-        s_large = _bisect_root(log_a, lo, hi)
-    s_large = _polish_root(s_large, log_a)
-    s_small = -2.0 * lambert_w(0, arg)
-
+    """crossover_roots of one model, with the residual |e^{-s} - A/s^2| of
+    the large root and the logarithmic approximation."""
+    small, large = crossover_roots([d.params.x])
+    s_large = float(large[0])
     lhs, rhs = crossover_equation_sides(d, s_large)
-    residual = abs(lhs - rhs)
-    if residual > 1e-12 * max(lhs, rhs):
-        raise ConvergenceError(f"crossover root residual {residual:g} too large")
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         approx = paper_approx_crossover(d)
     return CrossoverResult(
-        s_exact_small=s_small,
+        s_exact_small=float(small[0]),
         s_exact_large=s_large,
         s_paper_approx=approx,
-        residual=residual,
-        a_coefficient=a,
+        residual=abs(lhs - rhs),
+        a_coefficient=dominance_coefficient(d),
     )

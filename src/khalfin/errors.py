@@ -18,7 +18,7 @@ class RangeOverflowError(KhalfinError, OverflowError):
 
 
 class ConvergenceError(KhalfinError, RuntimeError):
-    """An iterative scheme (quadrature, continued fraction, root polish)
+    """An iterative scheme (quadrature, continued fraction, Newton root)
     exhausted its budget without reaching the requested tolerance."""
 
 

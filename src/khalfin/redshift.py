@@ -16,8 +16,10 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .crossover import solve_crossover
-from .density import NormalizedDensity, ResonanceParams
+import numpy as np
+
+from .crossover import crossover_roots
+from .density import ResonanceParams
 from .errors import CatalogError, DomainError
 
 _EMIN_RTOL = 1e-12
@@ -45,12 +47,8 @@ class LineCatalog:
         """Lines with shared_e_min (when set) overriding per-line thresholds."""
         if self.shared_e_min is None:
             return self.lines
-        out = []
-        for ln in self.lines:
-            out.append(SpectralLine(
-                ln.id, replace(ln.params, e_min=self.shared_e_min)
-            ))
-        return tuple(out)
+        return tuple(SpectralLine(ln.id, replace(ln.params, e_min=self.shared_e_min))
+                     for ln in self.lines)
 
 
 @dataclass(frozen=True)
@@ -107,10 +105,20 @@ def relaxation_coefficient(line: SpectralLine) -> float:
     return (p.e0 - p.e_min) / p.pole_offset_sq
 
 
+def crossover_times(lines: Sequence[SpectralLine]) -> np.ndarray:
+    """Exact crossover time of each line (x >= 1), from one array solve."""
+    params = [ln.params for ln in lines]
+    s = crossover_roots([p.x for p in params])[1]
+    return s * np.array([p.hbar for p in params]) / np.array([p.gamma0 for p in params])
+
+
 def crossover_time(line: SpectralLine) -> float:
+    return float(crossover_times([line])[0])
+
+
+def _relaxed_energy(line: SpectralLine, t: float) -> float:
     p = line.params
-    res = solve_crossover(NormalizedDensity.from_params(p))
-    return res.s_exact_large * p.hbar / p.gamma0
+    return p.e_min - 2.0 * relaxation_coefficient(line) * (p.hbar / t) ** 2
 
 
 def asymptotic_energy(line: SpectralLine, t: float) -> float:
@@ -118,13 +126,12 @@ def asymptotic_energy(line: SpectralLine, t: float) -> float:
     e_min - 2 (e0 - e_min) hbar^2 / (|pole - e_min|^2 t^2)."""
     if t <= 0:
         raise DomainError("t must be > 0")
-    p = line.params
-    if p.x >= 1.0 and t < crossover_time(line):
+    if line.params.x >= 1.0 and t < crossover_time(line):
         warnings.warn(
             f"t = {t:g} is before the crossover time of line {line.id!r}; "
             "the asymptotic energy formula is not yet accurate", stacklevel=2,
         )
-    return p.e_min - 2.0 * relaxation_coefficient(line) * (p.hbar / t) ** 2
+    return _relaxed_energy(line, t)
 
 
 def energy_difference_asymptotic(l1: SpectralLine, l2: SpectralLine,
@@ -180,29 +187,26 @@ def observed_line_table(catalog: LineCatalog, frame: DopplerFrame,
     pair-check column records, for each row after the first, whether the
     observed late-time line separation from the previous row is smaller
     than kappa times the emitted separation (1 pass / 0 fail, empty for
-    the first row).
+    the first row).  e_inf is asymptotic_energy without its crossover check.
     """
-    lines = catalog.resolved()
+    if t <= 0:
+        raise DomainError("t must be > 0")
     k = frame.kappa
     rows = []
     prev = None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for ln in lines:
-            e_inf = asymptotic_energy(ln, t)
-            row = {
-                "id": ln.id,
-                "e0": ln.params.e0,
-                "e_inf": e_inf,
-                "e0_obs": k * ln.params.e0,
-                "e_inf_obs": k * e_inf,
-                "delta_pair_check": "",
-            }
-            if prev is not None:
-                ok = abs(row["e_inf_obs"] - prev["e_inf_obs"]) < k * abs(
-                    row["e0"] - prev["e0"]
-                )
-                row["delta_pair_check"] = 1 if ok else 0
-            rows.append(row)
-            prev = row
+    for ln in catalog.resolved():
+        e_inf = _relaxed_energy(ln, t)
+        row = {
+            "id": ln.id,
+            "e0": ln.params.e0,
+            "e_inf": e_inf,
+            "e0_obs": k * ln.params.e0,
+            "e_inf_obs": k * e_inf,
+            "delta_pair_check": "",
+        }
+        if prev is not None:
+            row["delta_pair_check"] = int(abs(row["e_inf_obs"] - prev["e_inf_obs"])
+                                          < k * abs(row["e0"] - prev["e0"]))
+        rows.append(row)
+        prev = row
     return rows

@@ -1,7 +1,7 @@
 """Acceptance gate: one test (one pass/fail line under pytest -v) per
 acceptance criterion, each at its stated tolerance.
 
-Criterion 7 is split: 7a covers the Lambert-W root, its residual and the
+Criterion 7 is split: 7a covers the exact root, its residual and the
 logarithmic approximation; 7b covers the growth of both roots in ln x.
 Differentiating e^{-s} = A/s^2 gives ds/d ln x = 4 x^2/(x^2 + 1/4) /
 (1 - 2/s), and the approximation's own slope is 4 (1 + 2/(8.28 + 4 ln x)).

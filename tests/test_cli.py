@@ -1,6 +1,8 @@
 import json
+import math
 import pathlib
 
+import mpmath as mp
 import pytest
 
 from khalfin.cli import EXIT_CONFIG, EXIT_OK, main
@@ -68,6 +70,15 @@ def test_hamiltonian_csv_and_fd_check(capsys):
         assert float(cells[9]) < 1e-5
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_json_meta_records_fd_check(capsys, flag):
+    argv = ["hamiltonian", "--x", "10", "--points", "3", "--t-start", "0.5",
+            "--t-stop", "5", "--format", "json"] + (["--fd-check"] if flag else [])
+    status, out, _ = run(capsys, *argv)
+    assert status == EXIT_OK
+    assert json.loads(out)["meta"]["fd_check"] is flag
+
+
 def test_crossover_json(capsys):
     status, out, err = run(capsys, "crossover", "--x", "100",
                            "--format", "json")
@@ -87,6 +98,38 @@ def test_crossover_no_warning_above_validity(capsys):
     assert err == ""
     header = out.splitlines()[0]
     assert header.startswith("x,s_exact_small,s_exact_large,s_paper_approx")
+
+
+@pytest.mark.parametrize("x", ["1e80", "1e155", "1e300"])
+def test_crossover_huge_x(capsys, x):
+    status, out, _ = run(capsys, "crossover", "--x", x, "--format", "json")
+    assert status == EXIT_OK
+    got = json.loads(out)["rows"][0]["s_exact_large"]
+    with mp.workdps(40):
+        root_a = 1 / (2 * mp.pi * (mp.mpf(x) ** 2 + mp.mpf(1) / 4))
+        want = -2 * mp.re(mp.lambertw(-root_a / 2, -1))
+        assert abs(mp.mpf(got) / want - 1) <= 1e-13
+
+
+def test_redshift_huge_line(capsys, tmp_path):
+    cat = tmp_path / "cat.csv"
+    cat.write_text("id,e0,gamma0\nnear,2.0,0.1\nfar,1e155,0.1\n")
+    status, out, _ = run(capsys, "redshift", "--catalog", str(cat))
+    assert status == EXIT_OK
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 2
+    for row in rows:
+        assert all(math.isfinite(float(c)) for c in row.split(",")[1:5])
+
+
+def test_parser_error_leaves_no_state(capsys):
+    # the parser is built once per process; a failed parse must not
+    # change what a later valid call prints
+    valid = ("crossover", "--x", "1000", "--format", "json")
+    alone = run(capsys, *valid)
+    assert run(capsys, "crossover", "--x", "abc")[0] == EXIT_CONFIG
+    assert run(capsys)[0] == EXIT_CONFIG
+    assert run(capsys, *valid) == alone
 
 
 def test_redshift_csv(capsys, demo_catalog_path):

@@ -1,14 +1,34 @@
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from khalfin import make_density, paper_approx_crossover, solve_crossover
 from khalfin.crossover import (
-    _bisect_root,
     crossover_equation_sides,
+    crossover_roots,
     dominance_coefficient,
 )
 from khalfin.errors import DomainError
+
+_TINY = np.finfo(float).tiny
+
+
+def _mp_roots(x: float):
+    """(small, large) roots -2 W(-sqrt(A)/2) on branches 0 and -1, at 40
+    digits."""
+    with mp.workdps(40):
+        root_a = 1 / (2 * mp.pi * (mp.mpf(x) ** 2 + mp.mpf(1) / 4))
+        return (-2 * mp.re(mp.lambertw(-root_a / 2, 0)),
+                -2 * mp.re(mp.lambertw(-root_a / 2, -1)))
+
+
+def _rel(got: float, want) -> float:
+    with mp.workdps(40):
+        return float(abs(mp.mpf(got) / want - 1))
 
 
 def test_dominance_coefficient(d100):
@@ -59,17 +79,48 @@ def test_t_exact_large_scaling():
     assert abs(res.t_exact_large(d) - res.s_exact_large * 0.5 / 2.0) <= 1e-12
 
 
-def test_bisection_agrees_with_lambert(d100):
-    a = dominance_coefficient(d100)
-    log_a = math.log(a)
-    s_bis = _bisect_root(log_a, 0.5 * (-log_a), 4.0 * (-log_a) + 100.0)
-    s_ref = solve_crossover(d100).s_exact_large
-    assert abs(s_bis - s_ref) <= 1e-9 * s_ref
-
-
 def test_requires_x_at_least_one():
     with pytest.raises(DomainError):
         solve_crossover(make_density(0.0, 0.5, 1.0))
+    with pytest.raises(DomainError):
+        crossover_roots([10.0, math.inf])
+
+
+@pytest.mark.parametrize("x", [1e80, 1e155, 1e300])
+def test_huge_x(x):
+    # A underflows from x ~ 5e76 and x^2 overflows from ~1.3e154; the
+    # roots are solved in ln A and stay exact
+    res = solve_crossover(make_density(0.0, x, 1.0))
+    small, large = _mp_roots(x)
+    assert _rel(res.s_exact_large, large) <= 1e-13
+    # the small root is sqrt(A)(1 + O(sqrt(A))): normal at 1e80,
+    # subnormal at 1e155 and 0 at 1e300
+    assert res.s_exact_small == pytest.approx(
+        float(small), rel=1e-13 if small >= _TINY else 1e-3, abs=1e-323)
+    assert math.isfinite(res.residual) and math.isfinite(res.a_coefficient)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(0.0, 300.0))
+@example(0.0)
+@example(math.log10(2.6e153))  # the small root leaves the normal range
+def test_roots_match_mpmath(log10_x):
+    x = 10.0 ** log10_x
+    s_small, s_large = (v.item() for v in crossover_roots(x))
+    small, large = _mp_roots(x)
+    assert _rel(s_large, large) <= 1e-13
+    if small >= _TINY:
+        assert _rel(s_small, small) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(0.0, 300.0), min_size=1, max_size=40))
+def test_array_matches_solve_crossover(log10_xs):
+    xs = [10.0 ** v for v in log10_xs]
+    small, large = crossover_roots(np.array(xs))
+    for x, s_small, s_large in zip(xs, small.tolist(), large.tolist()):
+        res = solve_crossover(make_density(0.0, x, 1.0))
+        assert (res.s_exact_small, res.s_exact_large) == (s_small, s_large)
 
 
 def test_equation_sides_domain(d100):
