@@ -27,7 +27,6 @@ from .numerics import (
     e1_asymptotic,
     exp_integral_e1,
     exp_integral_e1_scaled,
-    integrate_oscillatory,
     lambert_w,
 )
 from .redshift import (

@@ -1,9 +1,9 @@
 """Spectral energy density of the model: a Breit-Wigner (Lorentzian)
 line truncated below a threshold energy, with exact normalization.
 
-The density abstraction (threshold / evaluate / normalization)
-is kept minimal so that other below-bounded densities can be plugged in;
-only the truncated Breit-Wigner ships.
+Every route to a(t) uses the Lorentzian's analytic form (the quadrature
+route its poles and its continuation below threshold); density_at
+evaluates omega(E) itself, for checks such as the normalization.
 """
 
 from __future__ import annotations

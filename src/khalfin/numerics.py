@@ -1,9 +1,9 @@
 """Special-function and quadrature kernel.
 
 Provides the complex exponential integral E1 (plain and overflow-safe
-scaled form e^z E1(z)), the real-branch Lambert W function, and
-semi-infinite Fourier-type integrals with a slowly decaying
-oscillatory tail by QUADPACK's QAWO and QAWF.
+scaled form e^z E1(z)), the real-branch Lambert W function, and a
+piecewise QUADPACK (QAGS) sum for the smooth, non-oscillating integrals
+of the quadrature route.
 
 All functions here are pure; nothing holds mutable state.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -293,81 +292,33 @@ def lambert_w(branch: int, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# semi-infinite oscillatory quadrature
+# piecewise quadrature
 # ---------------------------------------------------------------------------
 
-# QUADPACK targets per piece (Piessens et al., QUADPACK, 1983); a result
-# QUADPACK warned about is kept if its summed error estimate is within
-# max(_ACCEPT_ABS, _ACCEPT_REL * |value|)
-_QUADPACK = dict(limit=200, epsabs=1e-13, epsrel=1e-11)
-_ACCEPT_ABS, _ACCEPT_REL = 1e-12, 1e-10
+# QAGS targets per piece (Piessens et al., QUADPACK, 1983); a warned
+# result is kept if its summed error estimate is within _ACCEPT_REL |value|
+_QUADPACK = dict(limit=200, epsabs=0.0, epsrel=1e-13)
+_ACCEPT_REL = 1e-10
 
 
-def _integrate_oscillatory(f: Callable, lower: float, freq: float,
-                           critical: Sequence[float] = ()):
-    """Core engine; returns (value, error estimate).
+def _integrate_pieces(pieces):
+    """(value, summed error estimate) of the sum over (f, knots) in pieces
+    of the integrals of f between consecutive knots, by QAGS on the real
+    and imaginary parts of f (a float to a complex or real float).
 
-    QAWO integrates f cos and f sin between knots and QAWF beyond them.
-    The knots are lower, the critical abscissae above it, a tail start at
-    least a period past the last of them (so that QAWF's first cycle sees
-    a smooth integrand) and knots 1e3 * 16^k either side of the critical
-    abscissae: QUADPACK's first rule misses a unit-width peak at the end
-    of a piece much more than 1e4 long, and then reports a tiny value
-    with a tiny error.  With no usable weight (freq = 0, or a period that
-    overflows) QAGS integrates f alone, on the tail after a change of
-    variable: QAWF at wvar = 0 returns twice the integral.
+    Raises ConvergenceError when the value or error is not finite, or
+    QUADPACK warned and the error exceeds 1e-10 of the whole value.
     """
-    if not freq >= 0:
-        raise DomainError("freq must be >= 0")
-    period = 2.0 * math.pi / freq if freq else math.inf
-    weighted = math.isfinite(period)
-    peaks = sorted(c for c in critical if c > lower) or [lower]
-    last = peaks[-1]
-    tail = max(2.0 * last - lower, last + period if weighted else last)
-    grid = {lower, *peaks, tail}
-    step = 1e3
-    while peaks[0] - step > lower or last + step < tail:
-        grid.update(k for k in (peaks[0] - step, last + step)
-                    if lower < k < tail)
-        step *= 16.0
-    knots = sorted(grid)
-    span = (tail - lower) or 1.0
-
-    def mapped_tail(s):
-        # u = tail + span (1 - s)/s takes (0, 1] onto [tail, inf); QAGI's
-        # map is this one with span 1, which misses a decay over 1e5
-        return f(tail + span * (1.0 - s) / s) * span / (s * s)
-
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IntegrationWarning)
-        if weighted:
-            parts = [[quad(f, a, b, weight=w, wvar=freq, **_QUADPACK)
-                      for a, b in zip(knots, knots[1:] + [math.inf])]
-                     for w in ("cos", "sin")]
-        else:
-            parts = [[quad(f, a, b, **_QUADPACK)
-                      for a, b in zip(knots, knots[1:])]
-                     + [quad(mapped_tail, 0.0, 1.0, **_QUADPACK)]]
-    sums = [math.fsum(v for v, _ in part) for part in parts]
-    value = complex(sums[0], -sums[1]) if weighted else complex(sums[0])
-    err = math.fsum(e for part in parts for _, e in part)
+        parts = [[quad(lambda u: part(f(u)), a, b, **_QUADPACK)
+                  for f, knots in pieces for a, b in zip(knots, knots[1:])]
+                 for part in (lambda z: z.real, lambda z: z.imag)]
+    value = complex(*(math.fsum(v for v, _ in p) for p in parts))
+    err = math.fsum(e for p in parts for _, e in p)
     accepted = cmath.isfinite(value) and math.isfinite(err) and (
-        not caught or err <= max(_ACCEPT_ABS, _ACCEPT_REL * abs(value)))
+        not caught or err <= _ACCEPT_REL * abs(value))
     if not accepted:
-        raise ConvergenceError(f"oscillatory quadrature: value {value} with "
-                               f"error estimate {err:g} not accepted")
+        raise ConvergenceError(f"quadrature: value {value} with error "
+                               f"estimate {err:g} not accepted")
     return value, err
-
-
-def integrate_oscillatory(f: Callable, lower: float, freq: float,
-                          critical: Sequence[float] = ()) -> complex:
-    """Compute integral_lower^inf f(u) e^{-i freq u} du.
-
-    f maps a float to a real float and must be absolutely integrable on
-    [lower, inf).  `critical` lists abscissae (sharp peaks of f) that
-    become knots between QUADPACK pieces.  Raises ConvergenceError when
-    the result is not finite, or QUADPACK warned and its error estimate
-    exceeds max(1e-12, 1e-10 |value|).
-    """
-    value, _ = _integrate_oscillatory(f, lower, freq, critical)
-    return value

@@ -1,7 +1,7 @@
 """Survival amplitude a(t) and decay law P(t) = |a(t)|^2 by three
 mutually checking routes: closed form in terms of the exponential
-integral, direct oscillatory quadrature of the Fourier integral, and
-the long-time asymptotic series.
+integral, quadrature of a pole term plus a non-oscillating contour
+integral, and the long-time asymptotic series.
 
 The closed form is evaluated entirely through the scaled exponential
 integral so that no intermediate overflows even deep in the
@@ -27,8 +27,9 @@ from .density import NormalizedDensity
 from .errors import DomainError
 from .numerics import (
     _complex,
+    _EPS,
     _flat,
-    _integrate_oscillatory,
+    _integrate_pieces,
     _unflat,
     exp_integral_e1_scaled,
 )
@@ -123,20 +124,67 @@ def amplitude_closed_form(d: NormalizedDensity, t) -> AmplitudeSample:
                            Route.CLOSED_FORM, _unflat(est, shape))
 
 
+def _rotated(xs: float, lo: float, hi: float, decay: float) -> complex:
+    """e^{-decay} / ((xs + i lo)(xs + i hi)); neither factor cancels."""
+    return math.exp(-decay) / (complex(xs, lo) * complex(xs, hi))
+
+
+def _span(knots, lo: float, hi: float) -> list:
+    """[lo, the knots between lo and hi, hi], or [] unless lo < hi."""
+    return sorted({lo, hi, *(c for c in knots if lo < c < hi)}) if lo < hi else []
+
+
 def amplitude_quadrature(d: NormalizedDensity, t: float) -> AmplitudeSample:
-    """Direct Fourier integral of the density; the independent cross-check
-    for the closed form, intended for tests and spot checks.  est_error is
-    QUADPACK's summed error estimate."""
+    """Pole term plus one non-oscillating integral: the E1-free
+    cross-check for the closed form.  In width units (e_min = 0,
+    gamma0 = hbar = 1, tau = gamma0 t/hbar) the full-line Lorentzian gives
+    the pole term, and its part below threshold is rotated onto the
+    imaginary axis, away from the poles at y = +-1/2 + i x (numerical
+    steepest descent: Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44
+    (2006) 1026):
+
+        a = N e^{-i x tau - tau/2}
+            - (i N / 2 pi) int_0^inf e^{-tau y} / ((x + i y)^2 + 1/4) dy.
+
+    est_error is QUADPACK's error estimate plus the rounding floor.
+    """
     if t < 0:
         raise DomainError("t must be >= 0")
     p = d.params
-    # in eps = (E - e_min)/gamma0 the peak sits at x with unit width, the
-    # scale of QUADPACK's absolute tolerance and of the engine's knots
-    value, err = _integrate_oscillatory(
-        lambda eps: p.gamma0 * d.density_at(p.e_min + p.gamma0 * eps),
-        0.0, p.gamma0 * t / p.hbar, critical=(p.x,))
-    value *= cmath.exp(complex(0.0, -p.e_min * t / p.hbar))
-    return AmplitudeSample(t, value, Route.QUADRATURE, err)
+    u, v = _phase_args(d, t)
+    # y in units of y0 = 1 + x, so that nothing overflows: w = y/y0 on [0, h/2],
+    # then c = w - h, exact beside the near-pole of width xs at w = h, up to
+    # w = 1, and s = 1/w on (0, 1]; cut off where e^{-k w} < e^{-40}
+    y0 = 1.0 + p.x
+    xs, h, k = p.x / y0, 0.5 / y0, 2.0 * v * y0
+    end = min(1.0, 40.0 / k) if k > 0 else 1.0
+    near_pole, g = [0.0], xs  # graded knots about the near-pole
+    while 0.0 < g < 0.5 * h:
+        near_pole += [-g, g]
+        g *= 16.0
+    # graded knots above the e^{-k/s} layer; below s = eps/40 the tail
+    # holds under eps/40 of the integral
+    layer, g = [], max(k, _EPS) / 40.0
+    while g < 1.0:
+        layer.append(g)
+        g *= 16.0
+    j, err = _integrate_pieces([
+        (lambda w: _rotated(xs, w - h, w + h, k * w), [0.0, min(0.5 * h, end)]),
+        (lambda c: _rotated(xs, c, c + 2.0 * h, k * (c + h)),
+         _span(near_pole, -0.5 * h, end - h)),
+        (lambda s: _rotated(xs * s, 1.0 - h * s, 1.0 + h * s, k / s),
+         _span(layer, k / 40.0, 1.0)),
+    ])
+    scale = d.norm_n / (TWO_PI * y0)
+    pole = d.norm_n * cmath.exp(complex(-v, -u))
+    below = -1j * scale * j
+    phase = p.e_min * t / p.hbar
+    value = (pole + below) * cmath.exp(complex(0.0, -phase))
+    # rounding floor: the pole term's exponent -v - iu (three roundings, as
+    # in the closed form), the threshold phase (two) and a few ulps of each
+    floor = _EPS * (1.5 * abs(complex(v, u)) * abs(pole) + abs(phase) * abs(value)
+                    + 8.0 * (abs(pole) + abs(below)))
+    return AmplitudeSample(t, value, Route.QUADRATURE, float(scale * err + floor))
 
 
 def _power_series_terms(d: NormalizedDensity, t: float, order: int):

@@ -53,25 +53,20 @@ def _report(criterion: str, ok: bool, detail: str):
 
 
 def test_criterion_01_cross_route_amplitude():
-    # closed form vs independent oscillatory quadrature on 50 log-spaced
-    # times in [1e-2, 1e3] (units hbar/gamma0) for x in {1, 10, 100}.
-    # Tolerance: 1e-8 relative with a 1e-10 absolute floor — at x = 100,
-    # t = 1e3, |a| ~ 1.6e-8, so 1e-8 relative would ask for 1.6e-16
-    # absolute, below QUADPACK's absolute target of 1e-13 per piece; the
-    # absolute floor is what the quadrature route can be held to there.
-    worst_abs = worst_excess = 0.0
+    # closed form vs the independent quadrature route (pole term plus a
+    # rotated, non-oscillating integral) on 50 log-spaced times in
+    # [1e-2, 1e3] (units hbar/gamma0) for x in {1, 10, 100}.
+    # Tolerance: 1e-8 relative, down to |a| ~ 1.6e-8 at x = 100, t = 1e3;
+    # the quadrature route is accurate in relative terms throughout.
+    worst_excess = 0.0
     for x in (1.0, 10.0, 100.0):
         d = make_density(0.0, x, 1.0)
         for t in np.geomspace(1e-2, 1e3, 50):
             a = amplitude_closed_form(d, float(t)).value
             q = amplitude_quadrature(d, float(t)).value
-            diff = abs(a - q)
-            worst_abs = max(worst_abs, diff)
-            worst_excess = max(worst_excess,
-                               diff / max(1e-8 * abs(a), 1e-10))
+            worst_excess = max(worst_excess, abs(a - q) / (1e-8 * abs(a)))
     _report("1", worst_excess <= 1.0,
-            f"worst |closed-quad| = {worst_abs:.2e} abs, "
-            f"{worst_excess:.2e} of max(1e-8 rel, 1e-10 abs) budget")
+            f"worst |closed-quad| = {worst_excess:.2e} of the 1e-8 relative budget")
 
 
 def test_criterion_02_normalization():

@@ -49,6 +49,30 @@ def test_amplitude_multiple_routes(capsys):
             assert repr(float(cell)) == cell
 
 
+def test_quadrature_route_in_the_tail(capsys):
+    # |a| ~ 1.6e-15 here, far below QUADPACK's absolute tolerances; the
+    # quadrature route must still return, with a relative error estimate
+    status, out, _ = run(capsys, "amplitude", "--x", "1e6", "--t-start", "100",
+                         "--t-stop", "101", "--points", "2",
+                         "--routes", "closed_form,quadrature")
+    assert status == EXIT_OK
+    rows = [r.split(",") for r in out.strip().splitlines()[1:]]
+    assert [r[5] for r in rows] == ["closed_form", "quadrature"] * 2
+    for closed, quad in zip(rows[::2], rows[1::2]):
+        t = float(quad[0])
+        a = complex(float(closed[1]), float(closed[2]))
+        q = complex(float(quad[1]), float(quad[2]))
+        with mp.workdps(40):
+            n = 1 / (mp.mpf(1) / 2 + mp.atan(2 * mp.mpf(1e6)) / mp.pi)
+            z1, z2 = mp.mpc(t / 2, -1e6 * t), mp.mpc(-t / 2, -1e6 * t)
+            ref = complex(n * mp.exp(z2) + 1j * n / (2 * mp.pi) * (
+                mp.exp(z2) * mp.e1(z2) - mp.exp(z1) * mp.e1(z1)))
+        assert abs(q - ref) <= 1e-12 * abs(ref)
+        assert float(quad[6]) <= 1e-12 * abs(ref)
+        # the closed form rounds z = t (x - i/2) and is off by ~4e-10 here
+        assert abs(q - a) <= 4.0 * 2.0 ** -52 * t * math.hypot(1e6, 0.5) * abs(a)
+
+
 def test_deterministic_repeat(capsys):
     args = ("amplitude", "--x", "100", "--points", "20")
     _, out1, _ = run(capsys, *args)

@@ -12,10 +12,10 @@ from khalfin import (
     e1_asymptotic,
     exp_integral_e1,
     exp_integral_e1_scaled,
-    integrate_oscillatory,
     lambert_w,
 )
 from khalfin.errors import ConvergenceError, DomainError, RangeOverflowError
+from khalfin.numerics import _integrate_pieces
 
 
 def e1_oracle(z: complex) -> complex:
@@ -221,76 +221,29 @@ def test_lambert_domain_errors():
 
 
 # ---------------------------------------------------------------------------
-# oscillatory quadrature
+# piecewise quadrature
 # ---------------------------------------------------------------------------
 
-def test_oscillatory_exponential_kernel():
-    # int_0^inf e^{-u} e^{-iu} du = 1/(1+i)
-    v = integrate_oscillatory(lambda u: np.exp(-u), 0.0, 1.0)
-    assert abs(v - (0.5 - 0.5j)) <= 1e-12
-
-
-def test_oscillatory_zero_frequency():
-    v = integrate_oscillatory(lambda u: np.exp(-u), 0.0, 0.0)
-    assert abs(v - 1.0) <= 1e-10
-
-
-def _lorentzian_fourier_ref(c: float, f: float) -> complex:
-    """High-precision reference for int_0^inf e^{-ifu}/(pi((u-c)^2+1)) du:
-    residue of the pole at u = c + i plus the endpoint contribution in
-    terms of the scaled exponential integral."""
-    with mp.workdps(40):
-        z1 = mp.mpc(f, -c * f)
-        z2 = mp.mpc(-f, -c * f)
-        val = mp.exp(-(1 + 1j * c) * f) + (
-            mp.exp(z1) * mp.e1(z1) - mp.exp(z2) * mp.e1(z2)
-        ) / (2j * mp.pi)
-        return complex(val)
-
-
-def test_oscillatory_lorentzian_tail():
-    f, c = 2.5, 0.5
-    ref = _lorentzian_fourier_ref(c, f)
-    v = integrate_oscillatory(
-        lambda u: 1.0 / (math.pi * ((u - c) ** 2 + 1.0)), 0.0, f, critical=(c,)
-    )
-    assert abs(v - ref) <= 1e-10
-
-
-def test_oscillatory_narrow_peak_needs_critical_points():
-    # width-1 Lorentzian at u = 100, slow oscillation: half-period
-    # segments are ~300 wide and plain Gauss rules can miss the peak
-    # entirely, so it must be declared as a critical abscissa.
-    f, c = 0.01, 100.0
-    ref = _lorentzian_fourier_ref(c, f)
-    v = integrate_oscillatory(
-        lambda u: 1.0 / (math.pi * ((u - c) ** 2 + 1.0)), 0.0, f, critical=(c,)
-    )
-    assert abs(v - ref) <= 1e-9
-
-
-def test_oscillatory_rejects_negative_frequency():
-    with pytest.raises(DomainError):
-        integrate_oscillatory(lambda u: np.exp(-u), 0.0, -1.0)
+def test_integrate_pieces_sums_complex_pieces():
+    # int_0^1 e^{iu} du = (e^i - 1)/i, split at a knot, plus int_1^2 u du
+    value, err = _integrate_pieces([(lambda u: cmath.exp(1j * u), [0.0, 0.3, 1.0]),
+                                    (lambda u: u, [1.0, 2.0]),
+                                    (math.exp, [])])
+    assert abs(value - ((cmath.exp(1j) - 1.0) / 1j + 1.5)) <= 1e-15
+    assert 0.0 <= err <= 1e-13
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
-@pytest.mark.parametrize("freq", [0.0, 1.0])
-def test_oscillatory_non_finite_integrand_raises(value, freq):
-    # a NaN integrand must not reach QAWF with a large cycle budget, where
-    # QUADPACK crashes the process; both fail as a ConvergenceError
-    with pytest.raises(ConvergenceError, match="oscillatory quadrature"):
-        integrate_oscillatory(lambda u: value, 1.0, freq)
+def test_integrate_pieces_non_finite_integrand_raises(value):
+    # the process must not crash; both fail as a ConvergenceError
+    with pytest.raises(ConvergenceError, match="quadrature"):
+        _integrate_pieces([(lambda u: value, [0.0, 1.0])])
+    with pytest.raises(ConvergenceError, match="quadrature"):
+        _integrate_pieces([(lambda u: complex(1.0, value), [0.0, 1.0])])
 
 
-def test_oscillatory_divergent_integral_raises():
-    # int_1^inf du/u diverges; QUADPACK warns and its error estimate is large
-    with pytest.raises(ConvergenceError, match="oscillatory quadrature"):
-        integrate_oscillatory(lambda u: 1.0 / u, 1.0, 0.0)
-
-
-def test_oscillatory_conditionally_convergent_tail():
-    # int_1^inf e^{-iu}/u du = -Ci(1) - i (pi/2 - Si(1))
-    si, ci = sps.sici(1.0)
-    v = integrate_oscillatory(lambda u: 1.0 / u, 1.0, 1.0)
-    assert abs(v - complex(-ci, -(0.5 * math.pi - si))) <= 1e-10
+def test_integrate_pieces_divergent_piece_raises():
+    # int_0^1 du/u diverges; QUADPACK warns and its error estimate is large
+    with pytest.raises(ConvergenceError, match="quadrature"):
+        _integrate_pieces([(lambda u: math.exp(-u), [0.0, 1.0]),
+                           (lambda u: 1.0 / u, [0.0, 1.0])])
