@@ -242,6 +242,16 @@ def test_integrate_pieces_non_finite_integrand_raises(value):
         _integrate_pieces([(lambda u: complex(1.0, value), [0.0, 1.0])])
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("freq", [0.0, 1.0])
+def test_oscillatory_non_finite_integrand_raises(value, freq):
+    # a non-finite factor of an oscillatory integrand f(u) e^{-i freq u}, as
+    # the quadrature route integrates it, fails as a ConvergenceError
+    with pytest.raises(ConvergenceError, match="quadrature"):
+        _integrate_pieces([(lambda u: value * cmath.exp(-1j * freq * u),
+                            [0.0, 1.0, 2.0])])
+
+
 def test_integrate_pieces_divergent_piece_raises():
     # int_0^1 du/u diverges; QUADPACK warns and its error estimate is large
     with pytest.raises(ConvergenceError, match="quadrature"):
