@@ -3,9 +3,9 @@
 Subcommands: amplitude | hamiltonian | crossover | redshift.  Parameters
 come from an optional JSON config document; every flag overrides the
 corresponding config field.  Output is CSV (comma separator, '.'
-decimal, mandatory header) or JSON ({"meta": ..., "rows": ...}), with
-shortest-round-trip float formatting so repeated runs are byte
-identical.
+decimal, mandatory header) or JSON (one line, {"meta": ..., "rows": ...}
+with sorted keys), with shortest-round-trip float formatting so repeated
+runs are byte identical.
 
 Exit status: 0 success, 2 configuration/validation error, 3 numerical
 failure.
@@ -150,22 +150,17 @@ def _load_config(path: Optional[str]) -> RunConfig:
     return cfg
 
 
-def _fmt(v) -> str:
-    """Stable scalar formatting: shortest round-trip floats."""
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+def _emit(columns: dict, cfg: RunConfig):
+    """Write a table given as {header: list of Python scalars}.
 
-
-def _emit(rows, header, cfg: RunConfig):
+    CSV cells are str() of each value, which for a Python float is its
+    shortest round-trip repr; JSON is one line from the C encoder."""
     if cfg.out_format == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(row[k]) for k in header))
-        text = "\n".join(lines) + "\n"
+        cells = zip(*(map(str, col) for col in columns.values()))
+        text = "\n".join([",".join(columns), *map(",".join, cells)]) + "\n"
     else:
-        text = json.dumps({"meta": cfg.meta(), "rows": rows}, indent=2,
-                          sort_keys=True) + "\n"
+        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        text = json.dumps({"meta": cfg.meta(), "rows": rows}, sort_keys=True) + "\n"
     if cfg.out_path:
         with open(cfg.out_path, "w") as fh:
             fh.write(text)
@@ -201,18 +196,19 @@ def cmd_amplitude(cfg: RunConfig) -> int:
     cfg.validate()
     d = NormalizedDensity.from_params(cfg.model())
     grid = cfg.time_grid()
-    columns = {}
-    for route, (value, est) in _route_samples(d, grid, cfg).items():
+    samples = _route_samples(d, grid, cfg)
+    n, m = grid.size, len(cfg.routes)
+    t = grid.tolist()
+    columns = {name: [None] * (n * m) for name in _AMPLITUDE_HEADER}
+    # row k * m + j holds time k and route j: route j fills every m-th cell
+    for j, route in enumerate(cfg.routes):
+        value, est = samples[route]
         a_abs = np.abs(value)
-        columns[route] = (value.real.tolist(), value.imag.tolist(),
-                          a_abs.tolist(), np.square(a_abs).tolist(), est.tolist())
-    rows = []
-    for k, t in enumerate(grid.tolist()):
-        for route in cfg.routes:
-            re_a, im_a, abs_a, p_t, est = (col[k] for col in columns[route])
-            rows.append({"t": t, "re_a": re_a, "im_a": im_a, "abs_a": abs_a,
-                         "p_t": p_t, "route": route, "est_error": est})
-    _emit(rows, _AMPLITUDE_HEADER, cfg)
+        for name, col in zip(_AMPLITUDE_HEADER, (
+                t, value.real.tolist(), value.imag.tolist(), a_abs.tolist(),
+                np.square(a_abs).tolist(), [route] * n, est.tolist())):
+            columns[name][j::m] = col
+    _emit(columns, cfg)
     return EXIT_OK
 
 
@@ -224,19 +220,16 @@ def cmd_hamiltonian(cfg: RunConfig) -> int:
     cfg.validate()
     d = NormalizedDensity.from_params(cfg.model())
     grid = cfg.time_grid()
-    s = effective_hamiltonian(d, grid)
-    columns = {
-        "t": grid.tolist(),
-        "re_h": s.h.real.tolist(),
-        "im_h": s.h.imag.tolist(),
-        "energy": s.energy.tolist(),
-        "rate": s.rate.tolist(),
-        "conditioning_flag": s.ill_conditioned.astype(int).tolist(),
-    }
-    header = list(_HAMILTONIAN_HEADER)
     if cfg.fd_check:
-        header += ["fd_re_h", "fd_im_h", "fd_rel_diff"]
-        fd = effective_hamiltonian_fd(d, grid)
+        s, fd = effective_hamiltonian_fd(d, grid, with_exact=True)
+    else:
+        s = effective_hamiltonian(d, grid)
+    columns = dict(zip(_HAMILTONIAN_HEADER, (
+        grid.tolist(), s.h.real.tolist(), s.h.imag.tolist(), s.energy.tolist(),
+        s.rate.tolist(), [s.route.value] * grid.size,
+        s.ill_conditioned.astype(int).tolist(),
+    )))
+    if cfg.fd_check:
         diff = np.abs(fd.h - s.h) / np.maximum(np.abs(s.h), 1e-300)
         failed = np.flatnonzero(~s.ill_conditioned & (diff > 1e-5))
         if failed.size:
@@ -247,9 +240,7 @@ def cmd_hamiltonian(cfg: RunConfig) -> int:
             )
         columns.update(fd_re_h=fd.h.real.tolist(), fd_im_h=fd.h.imag.tolist(),
                        fd_rel_diff=diff.tolist())
-    route = s.route.value
-    rows = [dict(zip(columns, cells), route=route) for cells in zip(*columns.values())]
-    _emit(rows, header, cfg)
+    _emit(columns, cfg)
     return EXIT_OK
 
 
@@ -269,20 +260,12 @@ def cmd_crossover(cfg: RunConfig) -> int:
             f"warning: crossover approximation is quoted for x > "
             f"{APPROX_VALIDITY_X:g}; got x = {x:g}", file=sys.stderr,
         )
-    row = {
-        "x": x,
-        "s_exact_small": res.s_exact_small,
-        "s_exact_large": res.s_exact_large,
-        "s_paper_approx": res.s_paper_approx,
-        "residual": res.residual,
-        "a_coefficient": res.a_coefficient,
-        # the logarithmic approximation systematically overshoots the
-        # exact root at moderate x; report the gap rather than hide it
-        "approx_rel_gap": (res.s_paper_approx - res.s_exact_large)
-        / res.s_exact_large,
-        "approx_validity_warning": int(warn),
-    }
-    _emit([row], _CROSSOVER_HEADER, cfg)
+    # the logarithmic approximation systematically overshoots the exact
+    # root at moderate x; report the gap rather than hide it
+    gap = (res.s_paper_approx - res.s_exact_large) / res.s_exact_large
+    row = (x, res.s_exact_small, res.s_exact_large, res.s_paper_approx,
+           res.residual, res.a_coefficient, gap, int(warn))
+    _emit({name: [v] for name, v in zip(_CROSSOVER_HEADER, row)}, cfg)
     return EXIT_OK
 
 
@@ -306,7 +289,7 @@ def cmd_redshift(cfg: RunConfig) -> int:
         # default evaluation age: comfortably past every line's crossover
         t = 50.0 * float(crossover_times(catalog.resolved()).max())
     rows = observed_line_table(catalog, frame, t)
-    _emit(rows, _REDSHIFT_HEADER, cfg)
+    _emit({name: [row[name] for row in rows] for name in _REDSHIFT_HEADER}, cfg)
     return EXIT_OK
 
 

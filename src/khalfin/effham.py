@@ -82,44 +82,61 @@ def _sample(d, t, shape, h, a_abs, route) -> HamiltonianSample:
     )
 
 
+def _positive_times(t):
+    tt, shape = _flat(t, float)
+    if np.any(tt <= 0):
+        raise DomainError("t must be > 0 (energy diverges as t -> 0+)")
+    return tt, shape
+
+
+def _exact_ratio(d, t, shape, a, e1s_z1) -> HamiltonianSample:
+    """h = pole + delta_a/a from a(t) and E1s(z1) of one closed-form call."""
+    a_abs = np.abs(a)
+    _require_nonvanishing(t, a_abs)
+    h = d.params.pole + _delta(d, t, e1s_z1) / a
+    return _sample(d, t, shape, h, a_abs, HamiltonianRoute.EXACT_RATIO)
+
+
 def effective_hamiltonian(d: NormalizedDensity, t) -> HamiltonianSample:
     """Exact-ratio route: h(t) = pole + delta_a(t)/a(t).
 
     t may be a scalar or an array; a(t) and delta_a(t) come from one E1
     call on [z1; z2], delta_a reusing E1s(z1) of the amplitude.
     """
-    tt, shape = _flat(t, float)
-    if np.any(tt <= 0):
-        raise DomainError("t must be > 0 (energy diverges as t -> 0+)")
+    tt, shape = _positive_times(t)
     a, _, e1s_z1 = _closed_form(d, tt, with_z1=True)
-    a_abs = np.abs(a)
-    _require_nonvanishing(tt, a_abs)
-    h = d.params.pole + _delta(d, tt, e1s_z1) / a
-    return _sample(d, tt, shape, h, a_abs, HamiltonianRoute.EXACT_RATIO)
+    return _exact_ratio(d, tt, shape, a, e1s_z1)
 
 
-def effective_hamiltonian_fd(d: NormalizedDensity, t) -> HamiltonianSample:
+def effective_hamiltonian_fd(d: NormalizedDensity, t, with_exact: bool = False):
     """Finite-difference route: Richardson-extrapolated central difference
     of the closed-form amplitude, divided by a(t).
 
     t may be a scalar or an array; a(t) and the four stencil points of
-    every t come from one E1 call.
+    every t come from one E1 call.  With with_exact set, returns
+    (exact-ratio sample, finite-difference sample): the centre row of
+    the stencil already holds a(t) and E1s(z1), so the exact route costs
+    no second E1 call and equals effective_hamiltonian(d, t).
     """
     p = d.params
-    tt, shape = _flat(t, float)
+    tt, shape = _positive_times(t)
     step = _EPS ** (1.0 / 3.0) * np.maximum(tt, p.lifetime)
     if np.any(tt <= 2.0 * step):
         raise DomainError("t too small for the finite-difference stencil")
     half = 0.5 * step
     stencil = np.concatenate([tt, tt + step, tt - step, tt + half, tt - half])
-    a, ap, am, ahp, ahm = _closed_form(d, stencil)[0].reshape(5, -1)
+    values, _, e1s_z1 = _closed_form(d, stencil, with_z1=with_exact)
+    a, ap, am, ahp, ahm = values.reshape(5, -1)
     a_abs = np.abs(a)
     _require_nonvanishing(tt, a_abs)
     d1 = (ap - am) / (2.0 * step)
     d2 = (ahp - ahm) / (2.0 * half)
     deriv = (4.0 * d2 - d1) / 3.0
     h = 1j * p.hbar * deriv / a
-    return _sample(d, tt, shape, h, a_abs, HamiltonianRoute.FINITE_DIFFERENCE)
+    fd = _sample(d, tt, shape, h, a_abs, HamiltonianRoute.FINITE_DIFFERENCE)
+    if not with_exact:
+        return fd
+    return _exact_ratio(d, tt, shape, a, e1s_z1[:tt.size]), fd
 
 
 def hamiltonian_asymptotic(d: NormalizedDensity, t: float) -> HamiltonianSample:

@@ -121,7 +121,10 @@ def _e1_cf_scaled(z: np.ndarray, max_iter: int = 600) -> np.ndarray:
         d = 1.0 / d
         delta = c * d
         f = f * delta
-        done = np.abs(delta - 1.0) < 1e-16
+        # delta = c * d carries a few eps of rounding, so at large |z| it
+        # settles at 1 + eps (plus a tiny imaginary part), not at 1: a
+        # bound at or below eps then stalls until max_iter
+        done = np.abs(delta - 1.0) < 2.0 * _EPS
         if done.any():
             out[idx[done]] = 1.0 / f[done]
             keep = ~done

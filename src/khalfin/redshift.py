@@ -71,20 +71,31 @@ def load_catalog(path, shared_e_min: Optional[float] = None,
     """Read a catalog CSV with header id,e0,gamma0[,e_min]."""
     lines = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"id", "e0", "gamma0"} <= set(reader.fieldnames):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or not {"id", "e0", "gamma0"} <= set(header):
             raise CatalogError("catalog header must contain id,e0,gamma0[,e_min]")
+        # a repeated column name reads its last cell
+        col = {name: k for k, name in enumerate(header)}
+        i_id, i_e0, i_gamma0 = col["id"], col["e0"], col["gamma0"]
+        i_emin = col.get("e_min")
+        width = len(header)
         for row in reader:
+            if not row:
+                continue  # blank line
+            if len(row) < width:  # missing trailing cells read as None
+                row += [None] * (width - len(row))
+            cell = "" if i_emin is None else row[i_emin]
             try:
-                e_min = float(row["e_min"]) if row.get("e_min") not in (None, "") else default_e_min
-                e0, gamma0 = float(row["e0"]), float(row["gamma0"])
+                e_min = float(cell) if cell not in (None, "") else default_e_min
+                e0, gamma0 = float(row[i_e0]), float(row[i_gamma0])
             except (TypeError, ValueError) as exc:
                 raise CatalogError(
-                    f"catalog line {reader.line_num} (id {row['id']!r}): "
+                    f"catalog line {reader.line_num} (id {row[i_id]!r}): "
                     "missing or non-numeric e0, gamma0 or e_min"
                 ) from exc
             lines.append(SpectralLine(
-                row["id"],
+                row[i_id],
                 ResonanceParams(e_min=e_min, e0=e0, gamma0=gamma0, hbar=hbar),
             ))
     return LineCatalog(tuple(lines), shared_e_min=shared_e_min)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import pathlib
@@ -92,6 +94,85 @@ def test_hamiltonian_csv_and_fd_check(capsys):
         assert cells[5] == "exact_ratio"
         assert cells[6] in ("0", "1")
         assert float(cells[9]) < 1e-5
+
+
+def test_fd_check_keeps_the_plain_columns(capsys):
+    # the exact-ratio columns come from the stencil's centre row, so they
+    # must be the very bytes that plain `hamiltonian` prints; the grid
+    # crosses two interference nulls next to the crossover (s = 28.8),
+    # where conditioning_flag is 1
+    grid = ("--x", "100", "--linear-spacing", "--points", "200",
+            "--t-start", "28.7", "--t-stop", "28.9")
+    status, plain, _ = run(capsys, "hamiltonian", *grid)
+    assert status == EXIT_OK
+    status, checked, _ = run(capsys, "hamiltonian", *grid, "--fd-check")
+    assert status == EXIT_OK
+    seven = [",".join(line.split(",")[:7]) for line in checked.splitlines()]
+    assert seven == plain.splitlines()
+    assert {line.split(",")[6] for line in plain.splitlines()[1:]} == {"0", "1"}
+
+
+# string-valued columns; every other cell is a number
+_TEXT_COLUMNS = {"route", "id", "delta_pair_check"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("amplitude", "--x", "10", "--points", "4", "--t-start", "50",
+     "--t-stop", "200", "--routes", "closed_form,quadrature,asymptotic"),
+    ("hamiltonian", "--x", "10", "--points", "5", "--t-start", "0.5",
+     "--t-stop", "5", "--fd-check"),
+    ("crossover", "--x", "50"),
+    ("redshift", "--beta", "0.1"),
+], ids=lambda argv: argv[0])
+def test_json_rows_match_csv_rows(capsys, demo_catalog_path, argv):
+    if argv[0] == "redshift":
+        argv += ("--catalog", str(demo_catalog_path))
+    status, text, _ = run(capsys, *argv)
+    assert status == EXIT_OK
+    table = list(csv.reader(io.StringIO(text)))
+    status, doc, _ = run(capsys, *argv, "--format", "json")
+    assert status == EXIT_OK
+    # one compact document on one line
+    assert doc.endswith("\n") and doc.count("\n") == 1
+    rows = json.loads(doc)["rows"]
+    header = table[0]
+    assert len(rows) == len(table) - 1
+    for row, cells in zip(rows, table[1:]):
+        assert sorted(row) == sorted(header)
+        for name, cell in zip(header, cells):
+            if name in _TEXT_COLUMNS:
+                assert str(row[name]) == cell
+            else:
+                assert float(cell) == row[name]
+
+
+@pytest.mark.parametrize("x, t_start, t_stop", [
+    ("74487121.5675606", "12614.29308865845", "12615"),
+    ("434010.263644744", "42986623.47082272", "42986624"),
+])
+def test_closed_form_deep_in_the_tail(capsys, x, t_start, t_stop):
+    # |z| ~ 1e12 here: the E1 continued fraction's steps round to 1 +- eps,
+    # so a stopping test tighter than eps never passed and the CLI exited 3
+    status, out, _ = run(capsys, "amplitude", "--x", x, "--t-start", t_start,
+                         "--t-stop", t_stop, "--points", "2")
+    assert status == EXIT_OK
+    for line in out.splitlines()[1:]:
+        cells = line.split(",")
+        t = float(cells[0])
+        a = complex(float(cells[1]), float(cells[2]))
+        # the phase arguments as the closed form rounds them, so that the
+        # check sees the E1 kernel and not the rounding of z
+        u, v = float(x) * t, 0.5 * t
+        with mp.workdps(40):
+            n = 1 / (mp.mpf(1) / 2 + mp.atan(2 * mp.mpf(x)) / mp.pi)
+            e1s = [mp.exp(z) * mp.e1(z) for z in (mp.mpc(v, -u), mp.mpc(-v, -u))]
+            ref = complex(n * mp.exp(mp.mpc(-v, -u))
+                          + 1j * n / (2 * mp.pi) * (e1s[1] - e1s[0]))
+            # a is the difference of two nearly equal E1s terms; each
+            # term is good to a few eps of its own size
+            scale = float(n / (2 * mp.pi) * (abs(e1s[0]) + abs(e1s[1])))
+        assert abs(a - ref) <= 4.0 * 2.0 ** -52 * scale
+        assert abs(a.imag - ref.imag) <= 1e-13 * abs(ref)
 
 
 @pytest.mark.parametrize("flag", [True, False])

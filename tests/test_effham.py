@@ -192,6 +192,22 @@ def test_array_equals_scalar_calls(x):
         assert s.route is singles[0].route
 
 
+@pytest.mark.parametrize("x", [0.3, 100.0])
+def test_fd_with_exact_reuses_the_stencil(x):
+    # the exact sample from the stencil's centre row is the one that
+    # effective_hamiltonian computes, and the fd sample is unchanged
+    d = make_density(0.0, x, 1.0)
+    ts = np.geomspace(0.05, 1e5, 40)
+    exact, fd = effective_hamiltonian_fd(d, ts, with_exact=True)
+    for got, want in ((exact, effective_hamiltonian(d, ts)),
+                      (fd, effective_hamiltonian_fd(d, ts))):
+        assert got.route is want.route
+        assert got.h.tolist() == want.h.tolist()
+        assert got.ill_conditioned.tolist() == want.ill_conditioned.tolist()
+    exact, fd = effective_hamiltonian_fd(d, 5.0, with_exact=True)
+    assert exact.h == effective_hamiltonian(d, 5.0).h and type(exact.h) is complex
+
+
 def test_scalar_in_python_scalar_out(d100):
     for route in (effective_hamiltonian, effective_hamiltonian_fd):
         s = route(d100, np.float64(5.0))

@@ -72,6 +72,26 @@ def test_scaled_e1_defining_identity(z):
     assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
+# |z| ~ 1e14 off the axes, the continued fraction's steps round to 1 + eps
+# plus a tiny imaginary part; a stopping bound at or below eps never
+# passed for these (found by a random scan of z = t (+-1/2 - i x))
+E1_CF_ROUNDING = [
+    complex(422399595.1117939, -409609721498902.6),
+    complex(-422399595.1117939, -409609721498902.6),
+    complex(-2670744270.323679, -628589987637346.4),
+    complex(-170805080.33003563, -146115864660554.28),
+    complex(-1520957368.7985134, -433653600280715.94),
+]
+
+
+@pytest.mark.parametrize("z", E1_CF_ROUNDING)
+def test_scaled_e1_where_fraction_steps_round_to_one(z):
+    got = exp_integral_e1_scaled(z)
+    with mp.workdps(40):
+        ref = complex(mp.exp(mp.mpc(z)) * mp.e1(mp.mpc(z)))
+    assert abs(got - ref) <= 4.0 * 2.0 ** -52 * abs(ref)
+
+
 def test_e1_array_call_mixes_every_branch():
     zs = np.array(E1_GRID + [6.0 + 0.0j, 3.0 + 3.0j, -39.0 + 5.9j,
                              -45.0 - 1.0j, 1e4 - 1e4j])

@@ -53,6 +53,20 @@ def test_catalog_errors(tmp_path):
         LineCatalog(())
 
 
+def test_catalog_blank_short_and_long_rows(tmp_path):
+    # blank lines are skipped but counted, an empty e_min cell takes the
+    # default, extra cells are ignored, and a short row is an error that
+    # names its physical line and id
+    cat = tmp_path / "cat.csv"
+    cat.write_text("id,e0,gamma0,e_min\n\nA,2.0,0.1,\nB,3.0,0.2,0.5,extra\n")
+    lines = load_catalog(cat, default_e_min=0.25).lines
+    assert [(ln.id, ln.params.e0, ln.params.e_min) for ln in lines] == \
+        [("A", 2.0, 0.25), ("B", 3.0, 0.5)]
+    cat.write_text("id,e0,gamma0\n\nA,2.0,0.1\n\nB,3.0\n")
+    with pytest.raises(CatalogError, match=r"catalog line 5 \(id 'B'\)"):
+        load_catalog(cat)
+
+
 def test_relaxation_coefficient():
     ln = _line("a", 3.0, 2.0, e_min=1.0)
     assert abs(relaxation_coefficient(ln) - 2.0 / (4.0 + 1.0)) <= 1e-15
