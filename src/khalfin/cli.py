@@ -84,9 +84,14 @@ class RunConfig:
             raise ConfigError("t_start must be < t_stop")
         if self.out_format not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
+        names = [v.value for v in Route]  # a list: a route may be unhashable
         for r in self.routes:
-            if r not in {v.value for v in Route}:
+            if r not in names:
                 raise ConfigError(f"unknown route {r!r}")
+        if not self.routes:
+            raise ConfigError("routes must name at least one route")
+        if len(set(self.routes)) != len(self.routes):
+            raise ConfigError("routes must not repeat a route")
 
     def model(self) -> ResonanceParams:
         e0 = self.e0
@@ -269,8 +274,20 @@ def cmd_crossover(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-_REDSHIFT_HEADER = ["id", "e0", "e_inf", "e0_obs", "e_inf_obs",
-                    "delta_pair_check"]
+def _default_age(catalog) -> float:
+    """50 times the latest crossover time: comfortably past every line's."""
+    columns = catalog.resolved_columns()
+    try:
+        return 50.0 * float(crossover_times(*columns).max())
+    except DomainError:
+        e0, gamma0, e_min, _ = columns
+        x = (e0 - e_min) / gamma0
+        k = int(np.argmin((x >= 1.0) & (x < np.inf)))
+        raise ConfigError(
+            f"line {catalog.ids[k]!r} has x = {x[k]:g}, but the default age "
+            "needs every line's crossover time, which requires a finite "
+            "x >= 1; set the age with --t-stop (or sweep.t_stop)"
+        ) from None
 
 
 def cmd_redshift(cfg: RunConfig) -> int:
@@ -283,13 +300,8 @@ def cmd_redshift(cfg: RunConfig) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot read catalog: {exc}") from exc
     frame = DopplerFrame(beta=cfg.beta)
-    if cfg.t_stop_given:
-        t = cfg.t_stop
-    else:
-        # default evaluation age: comfortably past every line's crossover
-        t = 50.0 * float(crossover_times(catalog.resolved()).max())
-    rows = observed_line_table(catalog, frame, t)
-    _emit({name: [row[name] for row in rows] for name in _REDSHIFT_HEADER}, cfg)
+    t = cfg.t_stop if cfg.t_stop_given else _default_age(catalog)
+    _emit(observed_line_table(catalog, frame, t), cfg)
     return EXIT_OK
 
 

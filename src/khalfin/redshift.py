@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,24 +31,84 @@ class SpectralLine:
     params: ResonanceParams
 
 
-@dataclass(frozen=True)
+def _check_lines(e0, gamma0, e_min, hbar):
+    """Raise the DomainError of the first line ResonanceParams rejects.
+
+    The mask repeats ResonanceParams' checks over the columns; the failing
+    line is then built as a ResonanceParams, so its message comes from
+    there."""
+    e0, gamma0, e_min, hbar = (np.asarray(c, dtype=float)
+                               for c in (e0, gamma0, e_min, hbar))
+    ok = (np.isfinite(e0) & np.isfinite(gamma0) & np.isfinite(e_min)
+          & np.isfinite(hbar) & (gamma0 > 0) & (hbar > 0) & (e0 > e_min))
+    if not ok.all():
+        k = int(np.argmin(ok))
+        ResonanceParams(e_min=float(e_min[k]), e0=float(e0[k]),
+                        gamma0=float(gamma0[k]), hbar=float(hbar[k]))
+
+
+@dataclass(frozen=True, eq=False)
 class LineCatalog:
-    lines: tuple
+    """Spectral lines held as columns: ids and read-only float arrays.
+
+    The columns are validated once, as a whole: a catalog is non-empty,
+    every line is a valid ResonanceParams (with shared_e_min too, when it
+    is set) and the ids are unique.  `lines` and `resolved()` build
+    SpectralLine views on demand for the per-line diagnostics."""
+
+    ids: tuple
+    e0: np.ndarray
+    gamma0: np.ndarray
+    e_min: np.ndarray
+    hbar: np.ndarray
     shared_e_min: Optional[float] = None
 
     def __post_init__(self):
-        if len(self.lines) == 0:
+        object.__setattr__(self, "ids", tuple(self.ids))
+        for name in ("e0", "gamma0", "e_min", "hbar"):
+            col = np.array(getattr(self, name), dtype=float)
+            if col.shape != (len(self.ids),):
+                raise CatalogError(f"column {name} must hold one value per id")
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+        if not self.ids:
             raise CatalogError("catalog must contain at least one line")
-        ids = [ln.id for ln in self.lines]
-        if len(set(ids)) != len(ids):
+        _check_lines(self.e0, self.gamma0, self.e_min, self.hbar)
+        if len(set(self.ids)) != len(self.ids):
             raise CatalogError("line ids must be unique")
+        if self.shared_e_min is not None:
+            _check_lines(*self.resolved_columns())
+
+    @classmethod
+    def from_lines(cls, lines: Sequence[SpectralLine],
+                   shared_e_min: Optional[float] = None) -> "LineCatalog":
+        params = [ln.params for ln in lines]
+        return cls(tuple(ln.id for ln in lines),
+                   *([getattr(p, name) for p in params]
+                     for name in ("e0", "gamma0", "e_min", "hbar")),
+                   shared_e_min=shared_e_min)
+
+    def resolved_columns(self) -> tuple:
+        """(e0, gamma0, e_min, hbar) with shared_e_min (when set) as e_min."""
+        e_min = self.e_min
+        if self.shared_e_min is not None:
+            e_min = np.full_like(e_min, self.shared_e_min)
+        return self.e0, self.gamma0, e_min, self.hbar
+
+    def _views(self, e_min: np.ndarray) -> tuple:
+        return tuple(
+            SpectralLine(i, ResonanceParams(e_min=m, e0=e, gamma0=g, hbar=h))
+            for i, e, g, m, h in zip(self.ids, self.e0.tolist(), self.gamma0.tolist(),
+                                     e_min.tolist(), self.hbar.tolist()))
+
+    @property
+    def lines(self) -> tuple:
+        """The stored lines, each with its own e_min."""
+        return self._views(self.e_min)
 
     def resolved(self) -> tuple:
         """Lines with shared_e_min (when set) overriding per-line thresholds."""
-        if self.shared_e_min is None:
-            return self.lines
-        return tuple(SpectralLine(ln.id, replace(ln.params, e_min=self.shared_e_min))
-                     for ln in self.lines)
+        return self._views(self.resolved_columns()[2])
 
 
 @dataclass(frozen=True)
@@ -69,7 +129,7 @@ class DopplerFrame:
 def load_catalog(path, shared_e_min: Optional[float] = None,
                  default_e_min: float = 0.0, hbar: float = 1.0) -> LineCatalog:
     """Read a catalog CSV with header id,e0,gamma0[,e_min]."""
-    lines = []
+    ids, e0, gamma0, e_min = [], [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -87,18 +147,21 @@ def load_catalog(path, shared_e_min: Optional[float] = None,
                 row += [None] * (width - len(row))
             cell = "" if i_emin is None else row[i_emin]
             try:
-                e_min = float(cell) if cell not in (None, "") else default_e_min
-                e0, gamma0 = float(row[i_e0]), float(row[i_gamma0])
+                m = float(cell) if cell not in (None, "") else default_e_min
+                e, g = float(row[i_e0]), float(row[i_gamma0])
             except (TypeError, ValueError) as exc:
+                # a domain error on an earlier line is reported first
+                _check_lines(e0, gamma0, e_min, [hbar] * len(e0))
                 raise CatalogError(
                     f"catalog line {reader.line_num} (id {row[i_id]!r}): "
                     "missing or non-numeric e0, gamma0 or e_min"
                 ) from exc
-            lines.append(SpectralLine(
-                row[i_id],
-                ResonanceParams(e_min=e_min, e0=e0, gamma0=gamma0, hbar=hbar),
-            ))
-    return LineCatalog(tuple(lines), shared_e_min=shared_e_min)
+            ids.append(row[i_id])
+            e0.append(e)
+            gamma0.append(g)
+            e_min.append(m)
+    return LineCatalog(ids, e0, gamma0, e_min, [hbar] * len(ids),
+                       shared_e_min=shared_e_min)
 
 
 def _require_common_e_min(*lines: SpectralLine) -> float:
@@ -109,27 +172,42 @@ def _require_common_e_min(*lines: SpectralLine) -> float:
     return e0
 
 
+def _relaxation(e0, gamma0, e_min):
+    """g = (e0 - e_min) / |pole - e_min|^2 of scalars or arrays alike."""
+    d = e0 - e_min
+    return d / (d * d + 0.25 * gamma0 * gamma0)
+
+
+def _relaxed_energy(e0, gamma0, e_min, hbar, t):
+    """e_min - 2 g (hbar/t)^2 of scalars or arrays alike.
+
+    The square is libm pow, as Python's float ** 2 takes it: ndarray ** 2
+    multiplies, which differs in the last bit for ~0.1% of arguments.  An
+    overflow raises, as it does in Python."""
+    with np.errstate(over="raise"):
+        h2 = np.float_power(hbar / t, 2)
+    return e_min - 2.0 * _relaxation(e0, gamma0, e_min) * h2
+
+
 def relaxation_coefficient(line: SpectralLine) -> float:
     """g = (e0 - e_min) / |pole - e_min|^2, the line-dependent factor of
     the 1/t^2 energy relaxation."""
     p = line.params
-    return (p.e0 - p.e_min) / p.pole_offset_sq
+    return _relaxation(p.e0, p.gamma0, p.e_min)
 
 
-def crossover_times(lines: Sequence[SpectralLine]) -> np.ndarray:
-    """Exact crossover time of each line (x >= 1), from one array solve."""
-    params = [ln.params for ln in lines]
-    s = crossover_roots([p.x for p in params])[1]
-    return s * np.array([p.hbar for p in params]) / np.array([p.gamma0 for p in params])
+def crossover_times(e0, gamma0, e_min, hbar) -> np.ndarray:
+    """Exact crossover time of each line (x >= 1) given as columns, from
+    one array solve."""
+    e0, gamma0, e_min, hbar = (np.asarray(c, dtype=float)
+                               for c in (e0, gamma0, e_min, hbar))
+    s = crossover_roots((e0 - e_min) / gamma0)[1]
+    return s * hbar / gamma0
 
 
 def crossover_time(line: SpectralLine) -> float:
-    return float(crossover_times([line])[0])
-
-
-def _relaxed_energy(line: SpectralLine, t: float) -> float:
     p = line.params
-    return p.e_min - 2.0 * relaxation_coefficient(line) * (p.hbar / t) ** 2
+    return float(crossover_times([p.e0], [p.gamma0], [p.e_min], [p.hbar])[0])
 
 
 def asymptotic_energy(line: SpectralLine, t: float) -> float:
@@ -142,7 +220,8 @@ def asymptotic_energy(line: SpectralLine, t: float) -> float:
             f"t = {t:g} is before the crossover time of line {line.id!r}; "
             "the asymptotic energy formula is not yet accurate", stacklevel=2,
         )
-    return _relaxed_energy(line, t)
+    p = line.params
+    return float(_relaxed_energy(p.e0, p.gamma0, p.e_min, p.hbar, t))
 
 
 def energy_difference_asymptotic(l1: SpectralLine, l2: SpectralLine,
@@ -191,8 +270,9 @@ def doppler_ratio_invariance_check(frame: DopplerFrame, e1: float, e2: float,
 
 
 def observed_line_table(catalog: LineCatalog, frame: DopplerFrame,
-                        t: float) -> list:
-    """Per-line rest and Doppler-observed energies at decay age t.
+                        t: float) -> dict:
+    """Per-line rest and Doppler-observed energies at decay age t, as
+    {column: list of Python scalars}.
 
     Columns: id, e0, e_inf, e0_obs, e_inf_obs, delta_pair_check.  The
     pair-check column records, for each row after the first, whether the
@@ -203,21 +283,15 @@ def observed_line_table(catalog: LineCatalog, frame: DopplerFrame,
     if t <= 0:
         raise DomainError("t must be > 0")
     k = frame.kappa
-    rows = []
-    prev = None
-    for ln in catalog.resolved():
-        e_inf = _relaxed_energy(ln, t)
-        row = {
-            "id": ln.id,
-            "e0": ln.params.e0,
-            "e_inf": e_inf,
-            "e0_obs": k * ln.params.e0,
-            "e_inf_obs": k * e_inf,
-            "delta_pair_check": "",
-        }
-        if prev is not None:
-            row["delta_pair_check"] = int(abs(row["e_inf_obs"] - prev["e_inf_obs"])
-                                          < k * abs(row["e0"] - prev["e0"]))
-        rows.append(row)
-        prev = row
-    return rows
+    e0, gamma0, e_min, hbar = catalog.resolved_columns()
+    e_inf = _relaxed_energy(e0, gamma0, e_min, hbar, t)
+    e_inf_obs = k * e_inf
+    check = np.abs(np.diff(e_inf_obs)) < k * np.abs(np.diff(e0))
+    return {
+        "id": list(catalog.ids),
+        "e0": e0.tolist(),
+        "e_inf": e_inf.tolist(),
+        "e0_obs": (k * e0).tolist(),
+        "e_inf_obs": e_inf_obs.tolist(),
+        "delta_pair_check": ["", *check.astype(int).tolist()],
+    }

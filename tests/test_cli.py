@@ -7,6 +7,7 @@ import pathlib
 import mpmath as mp
 import pytest
 
+from khalfin import ResonanceParams, SpectralLine
 from khalfin.cli import EXIT_CONFIG, EXIT_OK, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -313,8 +314,20 @@ def test_out_file(tmp_path, capsys):
     ("amplitude", "--x", "inf"),                         # non-finite model
     ("amplitude", "--gamma0", "nan"),
     ("amplitude", "--t-stop", "inf"),                    # non-finite sweep
+    ("amplitude", "--routes", "closed_form,closed_form"),  # repeated route
+    ("amplitude", "--routes", ","),                      # no route
+    # a dict is a config document, passed by path
+    ("amplitude", "--config", {"routes": []}),
+    ("amplitude", "--config", {"routes": ["quadrature", "quadrature"]}),
+    ("amplitude", "--config", {"routes": [["closed_form"]]}),
 ])
-def test_config_errors_exit_2(capsys, argv):
+def test_config_errors_exit_2(capsys, tmp_path, argv):
+    argv = list(argv)
+    for k, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(arg))
+            argv[k] = str(cfg)
     status, _, err = run(capsys, *argv)
     assert status == EXIT_CONFIG
     assert "error" in err
@@ -356,3 +369,83 @@ def test_malformed_catalog_exits_2(capsys, tmp_path, text, where):
     status, _, err = run(capsys, "redshift", "--catalog", str(cat))
     assert status == EXIT_CONFIG
     assert "error" in err and where in err
+
+
+def test_redshift_default_age_names_the_line_below_x_1(capsys, tmp_path):
+    # the default age needs every line's crossover time, which needs x >= 1;
+    # the error names the first line without one and the remedy
+    cat = tmp_path / "cat.csv"
+    cat.write_text("id,e0,gamma0\nA,0.5,1.0\nB,3.0,0.1\n")
+    status, out, err = run(capsys, "redshift", "--catalog", str(cat))
+    assert status == EXIT_CONFIG and out == ""
+    assert err.startswith("error: line 'A' has x = 0.5,")
+    assert "--t-stop" in err and "sweep.t_stop" in err
+    status, out, err = run(capsys, "redshift", "--catalog", str(cat),
+                           "--t-stop", "1e4")
+    assert status == EXIT_OK and err == ""
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["A", "B"]
+
+
+_CLEAN = "id,e0,gamma0,e_min\nA,2.0,0.1,0.0\nB,3.0,0.2,0.0\n"
+_BAD_CELL = "missing or non-numeric e0, gamma0 or e_min"
+
+
+# (catalog, extra flags, exit status, stderr, clean catalog): the stderr
+# and status were recorded from the row-by-row reader this one replaced;
+# a catalog that loads prints what its clean equivalent prints
+@pytest.mark.parametrize("text, flags, status, err, clean", [
+    ("id,e0,gamma0\n\nA,2.0,0.1\n\n\nB,3.0,0.2\n", (), 0, "", _CLEAN),
+    ("id,e0,gamma0\nA,2.0,0.1\nB,3.0\n", (), 2,
+     f"error: catalog line 3 (id 'B'): {_BAD_CELL}\n", None),
+    ("id,e0,gamma0\nA,2.0,0.1,9,9\nB,3.0,0.2\n", (), 0, "", _CLEAN),
+    ('id,e0,gamma0\n"A",2.0,"0.1"\nB,"3.0",0.2\n', (), 0, "", _CLEAN),
+    ("id,e0,gamma0,e0\nA,9,0.1,2.0\nB,9,0.2,3.0\n", (), 0, "", _CLEAN),
+    ("id,e0,gamma0,e_min\nA,2.0,0.1,\nB,3.0,0.2,0.5\n", ("--emin", "0.5"), 0,
+     "", _CLEAN.replace("0.0", "0.5")),
+    ("id,e0,gamma0\nA,2.0,0.1\nB,3.0,-1\nC,zz,0.1\n", (), 2,
+     "error: gamma0 must be > 0\n", None),
+    ("id,e0,gamma0\nA,2.0,0.1\nA,3.0,0.1\nC,zz,0.1\n", (), 2,
+     f"error: catalog line 4 (id 'C'): {_BAD_CELL}\n", None),
+    ("id,e0,gamma0\nA,2.0,0.1\nA,3.0,0.1\nC,1.0,nan\n", (), 2,
+     "error: e_min, e0, gamma0 and hbar must be finite\n", None),
+    ("id,e0,gamma0\nA,2.0,0.1\nA,3.0,0.1\n", (), 2,
+     "error: line ids must be unique\n", None),
+    ("id,e0,gamma0\n", ("--hbar", "0"), 2,
+     "error: catalog must contain at least one line\n", None),
+    ("id,e0,gamma0\nA,2.0,0.1\n", ("--hbar", "0"), 2,
+     "error: hbar must be > 0\n", None),
+    ("id,e0\nA,2.0\n", (), 2,
+     "error: catalog header must contain id,e0,gamma0[,e_min]\n", None),
+], ids=["blank_lines", "short_row", "long_row", "quoted_cells",
+        "repeated_column", "empty_e_min", "domain_before_parse",
+        "parse_before_duplicate", "domain_after_duplicate", "duplicate",
+        "empty_with_hbar_0", "hbar_0", "missing_column"])
+def test_catalog_errors_exit_code_and_stderr(capsys, tmp_path, text, flags,
+                                             status, err, clean):
+    cat = tmp_path / "cat.csv"
+    cat.write_text(text)
+    got = run(capsys, "redshift", "--catalog", str(cat), *flags)
+    assert got[0] == status and got[2] == err
+    if clean is not None:
+        cat.write_text(clean)
+        assert got == run(capsys, "redshift", "--catalog", str(cat), *flags)
+
+
+def test_redshift_builds_no_per_line_objects(capsys, tmp_path, monkeypatch):
+    cat = tmp_path / "cat.csv"
+    cat.write_text("id,e0,gamma0\n" + "".join(
+        f"L{n},{2.0 + n},{0.01 * (1 + n % 7)}\n" for n in range(400)))
+    built = []
+    check, init = ResonanceParams.__post_init__, SpectralLine.__init__
+    monkeypatch.setattr(ResonanceParams, "__post_init__",
+                        lambda self: (built.append(self), check(self))[1])
+    monkeypatch.setattr(SpectralLine, "__init__",
+                        lambda self, *a, **kw: (built.append(self),
+                                                init(self, *a, **kw))[1])
+    status, out, _ = run(capsys, "redshift", "--catalog", str(cat))
+    assert status == EXIT_OK
+    assert len(out.splitlines()) == 401
+    assert built == []
+    # the counters do see a line that is built
+    SpectralLine("A", ResonanceParams(e_min=0.0, e0=2.0, gamma0=0.1))
+    assert len(built) == 2

@@ -1,7 +1,9 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from khalfin import (
@@ -18,7 +20,8 @@ from khalfin import (
     ratio_diagnostic,
 )
 from khalfin.errors import CatalogError, DomainError
-from khalfin.redshift import crossover_time, relaxation_coefficient
+from khalfin.redshift import (crossover_time, crossover_times,
+                              relaxation_coefficient)
 
 
 def _line(lid, e0, gamma0, e_min=0.0):
@@ -50,7 +53,9 @@ def test_catalog_errors(tmp_path):
     with pytest.raises(CatalogError):
         load_catalog(dup)
     with pytest.raises(CatalogError):
-        LineCatalog(())
+        LineCatalog.from_lines(())
+    with pytest.raises(CatalogError, match="one value per id"):
+        LineCatalog(["a"], [2.0, 3.0], [0.1], [0.0], [1.0])
 
 
 def test_catalog_blank_short_and_long_rows(tmp_path):
@@ -155,12 +160,93 @@ def test_observed_line_table(demo_catalog_path, t_as_100):
     cat = load_catalog(demo_catalog_path)
     frame = DopplerFrame(beta=0.1)
     t = 50.0 * max(crossover_time(ln) for ln in cat.resolved())
-    rows = observed_line_table(cat, frame, t)
-    assert [r["id"] for r in rows] == ["line1", "line2", "line3", "line4"]
-    assert rows[0]["delta_pair_check"] == ""
-    assert all(r["delta_pair_check"] == 1 for r in rows[1:])
-    for r in rows:
-        assert abs(r["e0_obs"] - frame.kappa * r["e0"]) <= 1e-15 * abs(r["e0"])
-        assert abs(r["e_inf_obs"] - frame.kappa * r["e_inf"]) <= 1e-12
+    table = observed_line_table(cat, frame, t)
+    assert table["id"] == ["line1", "line2", "line3", "line4"]
+    assert table["delta_pair_check"][0] == ""
+    assert all(c == 1 for c in table["delta_pair_check"][1:])
+    for e0, e_inf, e0_obs, e_inf_obs in zip(table["e0"], table["e_inf"],
+                                            table["e0_obs"], table["e_inf_obs"]):
+        assert abs(e0_obs - frame.kappa * e0) <= 1e-15 * abs(e0)
+        assert abs(e_inf_obs - frame.kappa * e_inf) <= 1e-12
         # late-time energies have collapsed toward the common threshold
-        assert abs(r["e_inf"]) < 1e-3 * abs(r["e0"])
+        assert abs(e_inf) < 1e-3 * abs(e0)
+
+
+def test_observed_line_table_squares_like_python_floats():
+    # at t = 2947, (1/t) ** 2 (libm pow, as Python takes it) and
+    # (1/t) * (1/t) differ in the last bit, and so does e_inf
+    line = _line("a", 2.0, 0.1)
+    t = 2947.0
+    table = observed_line_table(LineCatalog.from_lines([line]),
+                                DopplerFrame(beta=0.0), t)
+    assert table["e_inf"] == [-2.0 * relaxation_coefficient(line) * (1.0 / t) ** 2]
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    # per line: log10 x, log10 gamma0, own e_min below the base, log10 hbar
+    lines=st.lists(st.tuples(st.floats(0.0, 155.0), st.floats(-3.0, 3.0),
+                             st.floats(-1.0, 0.0), st.floats(-1.0, 1.0)),
+                   min_size=1, max_size=8),
+    base=st.floats(-10.0, 10.0),
+    shared=st.booleans(),
+    log_age=st.one_of(st.none(), st.floats(-3.0, 9.0)),
+    beta=st.floats(0.0, 0.9),
+)
+def test_observed_line_table_matches_scalar_functions(lines, base, shared,
+                                                      log_age, beta):
+    # every column of the array table is bit for bit what the per-line
+    # scalar functions give, with per-line or shared e_min
+    gamma0 = [10.0 ** lg for _, lg, _, _ in lines]
+    e0 = [base + 10.0 ** lx * g for (lx, _, _, _), g in zip(lines, gamma0)]
+    cat = LineCatalog([f"L{n}" for n in range(len(lines))], e0, gamma0,
+                      [base + dm for _, _, dm, _ in lines],
+                      [10.0 ** lh for _, _, _, lh in lines],
+                      shared_e_min=base if shared else None)
+    columns = cat.resolved_columns()
+    e0c, gc, mc, _ = columns
+    assume(np.all((e0c - mc) / gc >= 1.0))  # the crossover needs x >= 1
+    resolved = cat.resolved()
+    times = crossover_times(*columns)
+    assert _bits(times) == _bits(crossover_time(ln) for ln in resolved)
+
+    frame = DopplerFrame(beta=beta)
+    t = 50.0 * float(times.max()) if log_age is None else 10.0 ** log_age
+    with warnings.catch_warnings():
+        # t may precede a line's crossover, and |pole - e_min|^2 overflows
+        # to inf (g = 0) past x ~ 1e154, on both paths
+        warnings.simplefilter("ignore")
+        table = observed_line_table(cat, frame, t)
+        e_inf = [asymptotic_energy(ln, t) for ln in resolved]
+    assert table["id"] == [ln.id for ln in resolved]
+    assert _bits(table["e0"]) == _bits(ln.params.e0 for ln in resolved)
+    assert _bits(table["e_inf"]) == _bits(e_inf)
+    assert _bits(table["e0_obs"]) == _bits(doppler_shift(frame, ln.params.e0)
+                                           for ln in resolved)
+    assert _bits(table["e_inf_obs"]) == _bits(doppler_shift(frame, e)
+                                              for e in e_inf)
+    obs, rest = table["e_inf_obs"], table["e0"]
+    assert table["delta_pair_check"] == ["", *(
+        int(abs(obs[n] - obs[n - 1]) < frame.kappa * abs(rest[n] - rest[n - 1]))
+        for n in range(1, len(obs)))]
+
+
+def test_catalog_from_lines_round_trip(demo_catalog_path):
+    cat = load_catalog(demo_catalog_path, shared_e_min=0.5)
+    again = LineCatalog.from_lines(cat.lines, shared_e_min=0.5)
+    assert again.ids == cat.ids
+    for a, b in zip(again.resolved_columns(), cat.resolved_columns()):
+        assert a.tolist() == b.tolist()
+    # the columns are validated once and then read-only
+    with pytest.raises(ValueError):
+        cat.e0[0] = 0.0
+
+
+def test_catalog_validates_shared_e_min(demo_catalog_path):
+    # the first line at or below the shared threshold is rejected with
+    # ResonanceParams' own message
+    with pytest.raises(DomainError, match="e0 must exceed e_min"):
+        load_catalog(demo_catalog_path, shared_e_min=2.0)
