@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import numbers
 import sys
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,13 +42,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _is_finite_number(v) -> bool:
-    try:
-        return math.isfinite(v)
-    except TypeError:  # not a real number
-        return False
-
-
 @dataclass
 class RunConfig:
     e_min: float = 0.0
@@ -67,31 +59,14 @@ class RunConfig:
     out_path: Optional[str] = None
     routes: tuple = (Route.CLOSED_FORM.value,)
     fd_check: bool = False
-    # redshift evaluates at t_stop only when the config or a flag sets it
-    t_stop_given: bool = False
+    # the fields the config or a flag set; redshift reads t_stop only if set
+    given: frozenset = frozenset()
 
-    def validate(self):
-        for name in ("e_min", "e0", "gamma0", "hbar", "x", "t_start",
-                     "t_stop", "beta"):
-            v = getattr(self, name)
-            if v is not None and not _is_finite_number(v):
-                raise ConfigError(f"{name} must be a finite number")
-        if not isinstance(self.points, numbers.Integral):
-            raise ConfigError("points must be an integer")
+    def __post_init__(self):
         if self.points < 2:
             raise ConfigError("points must be >= 2")
         if not self.t_start < self.t_stop:
             raise ConfigError("t_start must be < t_stop")
-        if self.out_format not in ("csv", "json"):
-            raise ConfigError("format must be csv or json")
-        names = [v.value for v in Route]  # a list: a route may be unhashable
-        for r in self.routes:
-            if r not in names:
-                raise ConfigError(f"unknown route {r!r}")
-        if not self.routes:
-            raise ConfigError("routes must name at least one route")
-        if len(set(self.routes)) != len(self.routes):
-            raise ConfigError("routes must not repeat a route")
 
     def model(self) -> ResonanceParams:
         e0 = self.e0
@@ -114,45 +89,114 @@ class RunConfig:
         return np.linspace(self.t_start, self.t_stop, self.points)
 
     def meta(self) -> dict:
-        m = {k: getattr(self, k) for k in (
-            "e_min", "e0", "gamma0", "hbar", "x", "t_start", "t_stop",
-            "points", "log_spacing", "beta", "catalog_path", "out_format",
-            "fd_check",
-        )}
-        m["routes"] = list(self.routes)
+        # where the output is written is not part of what was computed
+        m = {p.field: getattr(self, p.field) for p in _PARAMS
+             if p.field != "out_path"}
         m["version"] = __version__
         return m
 
 
-def _load_config(path: Optional[str]) -> RunConfig:
-    cfg = RunConfig()
-    if path is None:
-        return cfg
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    model = doc.get("model", {})
-    for key in ("e_min", "e0", "gamma0", "hbar", "x"):
-        if key in model:
-            setattr(cfg, key, model[key])
-    sweep = doc.get("sweep", {})
-    for key in ("t_start", "t_stop", "points"):
-        if key in sweep:
-            setattr(cfg, key, sweep[key])
-    cfg.t_stop_given = "t_stop" in sweep
-    if "spacing" in sweep:
-        if sweep["spacing"] not in ("linear", "log"):
-            raise ConfigError("spacing must be 'linear' or 'log'")
-        cfg.log_spacing = sweep["spacing"] == "log"
-    outputs = doc.get("outputs", {})
-    cfg.out_format = outputs.get("format", cfg.out_format)
-    cfg.out_path = outputs.get("path", cfg.out_path)
-    cfg.catalog_path = doc.get("catalog_path", cfg.catalog_path)
-    if "routes" in doc:
-        cfg.routes = tuple(doc["routes"])
-    return cfg
+def _finite(v, name):
+    # an int past the float range is not finite as a float
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or not abs(v) <= sys.float_info.max):
+        raise ConfigError(f"{name} must be a finite number")
+    return v
+
+
+def _integer(v, name):
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"{name} must be an integer")
+    return v
+
+
+def _path(v, name):
+    if not isinstance(v, str) or "\0" in v:
+        raise ConfigError(f"{name} must be a path string")
+    return v
+
+
+def _format(v, name):
+    if v not in ("csv", "json"):
+        raise ConfigError("format must be csv or json")
+    return v
+
+
+def _spacing(v, name):
+    if v not in ("linear", "log"):
+        raise ConfigError("spacing must be 'linear' or 'log'")
+    return v == "log"
+
+
+def _routes(v, name):
+    if not isinstance(v, list) or not v:
+        raise ConfigError("routes must be a non-empty list of route names")
+    names = [r.value for r in Route]  # a list: a route may be unhashable
+    for r in v:
+        if r not in names:
+            raise ConfigError(f"unknown route {r!r}")
+    if len(set(v)) != len(v):
+        raise ConfigError("routes must not repeat a route")
+    return tuple(v)
+
+
+# One row per run parameter: its RunConfig field and meta key, its dotted
+# config path (None: flag-only), its flags, each mapped to the type that
+# parses its text or the constant it stores, the check that turns a value
+# from either into the field's value, and its one subcommand (None: all).
+_Param = namedtuple("_Param", "field path flags check only", defaults=(None,))
+_PARAMS = (
+    _Param("e_min", "model.e_min", {"--emin": float}, _finite),
+    _Param("e0", "model.e0", {"--e0": float}, _finite),
+    _Param("gamma0", "model.gamma0", {"--gamma0": float}, _finite),
+    _Param("hbar", "model.hbar", {"--hbar": float}, _finite),
+    _Param("x", "model.x", {"--x": float}, _finite),
+    _Param("t_start", "sweep.t_start", {"--t-start": float}, _finite),
+    _Param("t_stop", "sweep.t_stop", {"--t-stop": float}, _finite),
+    _Param("points", "sweep.points", {"--points": int}, _integer),
+    _Param("log_spacing", "sweep.spacing",
+           {"--log-spacing": "log", "--linear-spacing": "linear"}, _spacing),
+    _Param("beta", None, {"--beta": float}, _finite),
+    _Param("catalog_path", "catalog_path", {"--catalog": str}, _path),
+    _Param("out_format", "outputs.format", {"--format": str}, _format),
+    _Param("out_path", "outputs.path", {"--out": str}, _path),
+    _Param("routes", "routes", {"--routes": lambda text: [
+        r.strip() for r in text.split(",") if r.strip()]}, _routes, "amplitude"),
+    _Param("fd_check", None, {"--fd-check": True}, lambda v, name: v,
+           "hamiltonian"),
+)
+
+
+def _lookup(doc, path: str):
+    """The value at a dotted config path; None where absent or null."""
+    where = "document"
+    for key in path.split("."):
+        if doc is None:
+            break
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config {where} must be a JSON object")
+        doc, where = doc.get(key), key
+    return doc
+
+
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """The checked parameters, each from its flag, else from the config."""
+    doc = {}
+    if args.config is not None:
+        try:
+            with open(args.config) as fh:
+                doc = json.load(fh)
+        # ValueError: not JSON or not UTF-8; RecursionError: nested too deep
+        except (OSError, ValueError, RecursionError) as exc:
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    values = {}
+    for p in _PARAMS:
+        v = getattr(args, p.field, None)
+        if v is None and p.path is not None:
+            v = _lookup(doc, p.path)
+        if v is not None:
+            values[p.field] = p.check(v, p.field)
+    return RunConfig(**values, given=frozenset(values))
 
 
 def _emit(columns: dict, cfg: RunConfig):
@@ -167,8 +211,11 @@ def _emit(columns: dict, cfg: RunConfig):
         rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
         text = json.dumps({"meta": cfg.meta(), "rows": rows}, sort_keys=True) + "\n"
     if cfg.out_path:
-        with open(cfg.out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {cfg.out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -198,7 +245,6 @@ def _route_samples(d: NormalizedDensity, grid: np.ndarray, cfg: RunConfig) -> di
 
 
 def cmd_amplitude(cfg: RunConfig) -> int:
-    cfg.validate()
     d = NormalizedDensity.from_params(cfg.model())
     grid = cfg.time_grid()
     samples = _route_samples(d, grid, cfg)
@@ -222,7 +268,6 @@ _HAMILTONIAN_HEADER = ["t", "re_h", "im_h", "energy", "rate", "route",
 
 
 def cmd_hamiltonian(cfg: RunConfig) -> int:
-    cfg.validate()
     d = NormalizedDensity.from_params(cfg.model())
     grid = cfg.time_grid()
     if cfg.fd_check:
@@ -255,7 +300,6 @@ _CROSSOVER_HEADER = ["x", "s_exact_small", "s_exact_large", "s_paper_approx",
 
 
 def cmd_crossover(cfg: RunConfig) -> int:
-    cfg.validate()
     d = NormalizedDensity.from_params(cfg.model())
     res = solve_crossover(d)
     x = d.params.x
@@ -291,7 +335,6 @@ def _default_age(catalog) -> float:
 
 
 def cmd_redshift(cfg: RunConfig) -> int:
-    cfg.validate()
     if cfg.catalog_path is None:
         raise ConfigError("redshift requires a line catalog (--catalog)")
     try:
@@ -300,7 +343,7 @@ def cmd_redshift(cfg: RunConfig) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot read catalog: {exc}") from exc
     frame = DopplerFrame(beta=cfg.beta)
-    t = cfg.t_stop if cfg.t_stop_given else _default_age(catalog)
+    t = cfg.t_stop if "t_stop" in cfg.given else _default_age(catalog)
     _emit(observed_line_table(catalog, frame, t), cfg)
     return EXIT_OK
 
@@ -315,26 +358,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None)
-        p.add_argument("--x", type=float, default=None)
-        p.add_argument("--gamma0", type=float, default=None)
-        p.add_argument("--e0", type=float, default=None)
-        p.add_argument("--emin", type=float, default=None)
-        p.add_argument("--hbar", type=float, default=None)
-        p.add_argument("--t-start", type=float, default=None)
-        p.add_argument("--t-stop", type=float, default=None)
-        p.add_argument("--points", type=int, default=None)
-        p.add_argument("--log-spacing", action="store_true", default=None)
-        p.add_argument("--linear-spacing", action="store_true", default=None)
-        p.add_argument("--beta", type=float, default=None)
-        p.add_argument("--catalog", type=str, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--out", type=str, default=None)
-        if name == "amplitude":
-            p.add_argument("--routes", type=str, default=None,
-                           help="comma-separated: closed_form,quadrature,asymptotic")
-        if name == "hamiltonian":
-            p.add_argument("--fd-check", action="store_true")
+        p.add_argument("--config")
+        for param in (q for q in _PARAMS if q.only in (None, name)):
+            for flag, parse in param.flags.items():
+                how = (dict(type=parse) if callable(parse)
+                       else dict(action="store_const", const=parse))
+                p.add_argument(flag, dest=param.field, **how)
     return parser
 
 
@@ -344,38 +373,13 @@ _COMMANDS = {"amplitude": cmd_amplitude, "hamiltonian": cmd_hamiltonian,
 _PARSER = _build_parser()
 
 
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    mapping = {
-        "x": "x", "gamma0": "gamma0", "e0": "e0", "emin": "e_min",
-        "hbar": "hbar", "t_start": "t_start", "t_stop": "t_stop",
-        "points": "points", "beta": "beta", "catalog": "catalog_path",
-        "format": "out_format", "out": "out_path",
-    }
-    for arg_name, cfg_name in mapping.items():
-        v = getattr(args, arg_name, None)
-        if v is not None:
-            setattr(cfg, cfg_name, v)
-    if args.t_stop is not None:
-        cfg.t_stop_given = True
-    if getattr(args, "log_spacing", None):
-        cfg.log_spacing = True
-    if getattr(args, "linear_spacing", None):
-        cfg.log_spacing = False
-    routes = getattr(args, "routes", None)
-    if routes is not None:
-        cfg.routes = tuple(r.strip() for r in routes.split(",") if r.strip())
-    if getattr(args, "fd_check", False):
-        cfg.fd_check = True
-    return cfg
-
-
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = _apply_overrides(_load_config(args.config), args)
+        cfg = _run_config(args)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             return _COMMANDS[args.command](cfg)

@@ -23,6 +23,8 @@ from .density import ResonanceParams
 from .errors import CatalogError, DomainError
 
 _EMIN_RTOL = 1e-12
+# characters that would split or quote a line id's CSV cell
+_NOT_IN_ID = ',"\r\n'
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,8 @@ class LineCatalog:
 
     The columns are validated once, as a whole: a catalog is non-empty,
     every line is a valid ResonanceParams (with shared_e_min too, when it
-    is set) and the ids are unique.  `lines` and `resolved()` build
+    is set) and the ids are unique bare CSV cells (no comma, double quote
+    or line break).  `lines` and `resolved()` build
     SpectralLine views on demand for the per-line diagnostics."""
 
     ids: tuple
@@ -73,6 +76,12 @@ class LineCatalog:
             object.__setattr__(self, name, col)
         if not self.ids:
             raise CatalogError("catalog must contain at least one line")
+        # an id is written as a bare CSV cell; one scan covers all ids
+        joined = "".join(self.ids)
+        if any(c in joined for c in _NOT_IN_ID):
+            bad = next(i for i in self.ids if any(c in i for c in _NOT_IN_ID))
+            raise CatalogError(f"line id {bad!r} must not contain a comma, "
+                               "a double quote or a line break")
         _check_lines(self.e0, self.gamma0, self.e_min, self.hbar)
         if len(set(self.ids)) != len(self.ids):
             raise CatalogError("line ids must be unique")

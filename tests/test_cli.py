@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import io
 import json
@@ -6,8 +8,10 @@ import pathlib
 
 import mpmath as mp
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from khalfin import ResonanceParams, SpectralLine
+from khalfin import ResonanceParams, SpectralLine, cli
 from khalfin.cli import EXIT_CONFIG, EXIT_OK, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -316,15 +320,23 @@ def test_out_file(tmp_path, capsys):
     ("amplitude", "--t-stop", "inf"),                    # non-finite sweep
     ("amplitude", "--routes", "closed_form,closed_form"),  # repeated route
     ("amplitude", "--routes", ","),                      # no route
-    # a dict is a config document, passed by path
+    # a dict or a list is a config document, passed by path
     ("amplitude", "--config", {"routes": []}),
     ("amplitude", "--config", {"routes": ["quadrature", "quadrature"]}),
     ("amplitude", "--config", {"routes": [["closed_form"]]}),
+    ("amplitude", "--config", [1]),                      # not an object
+    ("amplitude", "--config", {"model": 5}),
+    ("amplitude", "--config", {"sweep": 3}),
+    ("amplitude", "--config", {"outputs": []}),
+    ("amplitude", "--config", {"routes": 5}),            # routes not a list
+    ("redshift", "--config", {"catalog_path": []}),      # path not a string
+    ("redshift", "--config", {"catalog_path": "a\0b"}),
+    ("amplitude", "--points", "2", "--out", "/no/such/dir/x.csv"),  # unwritable
 ])
 def test_config_errors_exit_2(capsys, tmp_path, argv):
     argv = list(argv)
     for k, arg in enumerate(argv):
-        if isinstance(arg, dict):
+        if isinstance(arg, (dict, list)):
             cfg = tmp_path / "run.json"
             cfg.write_text(json.dumps(arg))
             argv[k] = str(cfg)
@@ -342,6 +354,14 @@ def test_unknown_flag_exits_2(capsys):
     {"sweep": {"t_start": "abc"}},
     {"model": {"gamma0": "abc"}},
     {"sweep": {"points": "5"}},
+    {"model": {"x": True}},                  # a boolean is not a number
+    {"sweep": {"points": True}},
+    {"sweep": {"points": 5.0}},
+    {"model": {"e0": 10 ** 400}},            # an int past the float range
+    {"routes": "closed_form"},               # routes must be a list
+    {"outputs": {"path": 5}},
+    {"outputs": {"format": ["json"]}},
+    {"sweep": {"spacing": True}},
 ])
 def test_wrongly_typed_config_exits_2(capsys, tmp_path, doc):
     cfg = tmp_path / "typed.json"
@@ -353,10 +373,12 @@ def test_wrongly_typed_config_exits_2(capsys, tmp_path, doc):
 
 def test_malformed_config_document(capsys, tmp_path):
     cfg = tmp_path / "broken.json"
-    cfg.write_text("{not json")
-    status, _, err = run(capsys, "amplitude", "--config", str(cfg))
-    assert status == EXIT_CONFIG
-    assert "error" in err
+    # not JSON, not UTF-8, and nested past the decoder's recursion limit
+    for text in (b"{not json", b'{"x": "\xff"}', b"[" * 10 ** 5 + b"]" * 10 ** 5):
+        cfg.write_bytes(text)
+        status, _, err = run(capsys, "amplitude", "--config", str(cfg))
+        assert status == EXIT_CONFIG
+        assert "error" in err
 
 
 @pytest.mark.parametrize("text, where", [
@@ -416,10 +438,13 @@ _BAD_CELL = "missing or non-numeric e0, gamma0 or e_min"
      "error: hbar must be > 0\n", None),
     ("id,e0\nA,2.0\n", (), 2,
      "error: catalog header must contain id,e0,gamma0[,e_min]\n", None),
+    ('id,e0,gamma0\n"A,1",2.0,0.1\nB,3.0,0.2\n', ("--t-stop", "100"), 2,
+     "error: line id 'A,1' must not contain a comma, a double quote or a "
+     "line break\n", None),
 ], ids=["blank_lines", "short_row", "long_row", "quoted_cells",
         "repeated_column", "empty_e_min", "domain_before_parse",
         "parse_before_duplicate", "domain_after_duplicate", "duplicate",
-        "empty_with_hbar_0", "hbar_0", "missing_column"])
+        "empty_with_hbar_0", "hbar_0", "missing_column", "comma_in_id"])
 def test_catalog_errors_exit_code_and_stderr(capsys, tmp_path, text, flags,
                                              status, err, clean):
     cat = tmp_path / "cat.csv"
@@ -449,3 +474,101 @@ def test_redshift_builds_no_per_line_objects(capsys, tmp_path, monkeypatch):
     # the counters do see a line that is built
     SpectralLine("A", ResonanceParams(e_min=0.0, e0=2.0, gamma0=0.1))
     assert len(built) == 2
+
+
+# two values of each parameter that has both a config path and a flag, as
+# (flags, config value): the second pair is set by flag over the first
+_BOTH_WAYS = {
+    "e_min": [(["--emin", "0.5"], 0.5), (["--emin", "-1.5"], -1.5)],
+    "e0": [(["--e0", "7.0"], 7.0), (["--e0", "8.5"], 8.5)],
+    "gamma0": [(["--gamma0", "2.0"], 2.0), (["--gamma0", "0.25"], 0.25)],
+    "hbar": [(["--hbar", "0.5"], 0.5), (["--hbar", "3.0"], 3.0)],
+    "x": [(["--x", "10.0"], 10.0), (["--x", "1e300"], 1e300)],
+    "t_start": [(["--t-start", "0.5"], 0.5), (["--t-start", "-2.0"], -2.0)],
+    "t_stop": [(["--t-stop", "50.0"], 50.0), (["--t-stop", "1e6"], 1e6)],
+    "points": [(["--points", "5"], 5), (["--points", "2"], 2)],
+    "log_spacing": [(["--linear-spacing"], "linear"), (["--log-spacing"], "log")],
+    "catalog_path": [(["--catalog", "a.csv"], "a.csv"), (["--catalog", "b"], "b")],
+    "out_format": [(["--format", "json"], "json"), (["--format", "csv"], "csv")],
+    "out_path": [(["--out", "a.csv"], "a.csv"), (["--out", "b.json"], "b.json")],
+    "routes": [(["--routes", "quadrature"], ["quadrature"]),
+               (["--routes", "asymptotic, closed_form"],
+                ["asymptotic", "closed_form"])],
+}
+
+
+def _config_of(argv, tmp_path, doc=None):
+    """The RunConfig main would run for `amplitude` with these flags and an
+    optional config document."""
+    if doc is not None:
+        (tmp_path / "run.json").write_text(json.dumps(doc))
+        argv = [*argv, "--config", str(tmp_path / "run.json")]
+    return cli._run_config(cli._PARSER.parse_args(["amplitude", *argv]))
+
+
+def _doc(path, value):
+    """The config document that sets one dotted path."""
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    return value
+
+
+@pytest.mark.parametrize("param", [p for p in cli._PARAMS if p.path and p.flags],
+                         ids=lambda p: p.field)
+def test_config_and_flag_set_a_parameter_alike(tmp_path, param):
+    (flags, value), (other_flags, other) = _BOTH_WAYS[param.field]
+    for argv, v in ((flags, value), (other_flags, other)):
+        by_flag = _config_of(argv, tmp_path)
+        by_config = _config_of([], tmp_path, _doc(param.path, v))
+        assert json.dumps(by_flag.meta()) == json.dumps(by_config.meta())
+        assert by_flag == by_config and by_flag.given == {param.field}
+    # the flag wins over the config document
+    assert _config_of(other_flags, tmp_path, _doc(param.path, value)) == \
+        _config_of(other_flags, tmp_path) != _config_of(flags, tmp_path)
+    assert {p.field for p in cli._PARAMS if p.path and p.flags} == set(_BOTH_WAYS)
+
+
+# the option strings of each subcommand before the parameter table
+_OPTIONS = ["--beta", "--catalog", "--config", "--e0", "--emin", "--format",
+            "--gamma0", "--hbar", "--help", "--linear-spacing", "--log-spacing",
+            "--out", "--points", "--t-start", "--t-stop", "--x", "-h"]
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("amplitude", ["--routes"]), ("hamiltonian", ["--fd-check"]),
+    ("crossover", []), ("redshift", []),
+])
+def test_subcommand_options_are_unchanged(command, extra):
+    sub = next(a for a in cli._PARSER._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = [s for a in sub.choices[command]._actions for s in a.option_strings]
+    assert sorted(got) == sorted(_OPTIONS + extra)
+
+
+_FUZZ_KEYS = sorted({key for p in cli._PARAMS if p.path
+                     for key in p.path.split(".")} | {"bogus"})
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["", "log", "linear", "json", "csv", "closed_form", "1e3"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_FUZZ_KEYS), inner, max_size=4),
+    max_leaves=8)
+_number_text = st.floats().map(repr) | st.integers().map(str)
+_crossover_flags = st.lists(st.tuples(
+    st.sampled_from(["--x", "--e0", "--emin", "--gamma0", "--hbar", "--t-start",
+                     "--t-stop", "--beta"]), _number_text)
+    | st.tuples(st.just("--points"), st.integers().map(str))
+    | st.tuples(st.just("--format"), st.sampled_from(["json", "csv", "", "x"])),
+    max_size=4)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=st.dictionaries(st.sampled_from(_FUZZ_KEYS), _json_values, max_size=5)
+       | _json_values, flags=_crossover_flags)
+def test_crossover_fuzz_exits_0_2_or_3(tmp_path, doc, flags):
+    (tmp_path / "run.json").write_text(json.dumps(doc))
+    argv = ["crossover", "--config", str(tmp_path / "run.json"),
+            *(s for flag in flags for s in flag), "--out", str(tmp_path / "out")]
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 2, 3)

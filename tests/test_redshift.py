@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -56,6 +57,11 @@ def test_catalog_errors(tmp_path):
         LineCatalog.from_lines(())
     with pytest.raises(CatalogError, match="one value per id"):
         LineCatalog(["a"], [2.0, 3.0], [0.1], [0.0], [1.0])
+    # an id must print as one bare CSV cell
+    for bad_id in ("b,c", 'b"c', "b\rc", "b\nc"):
+        message = re.escape(f"line id {bad_id!r} must not")
+        with pytest.raises(CatalogError, match=message):
+            LineCatalog(["a", bad_id], [2.0, 3.0], [0.1] * 2, [0.0] * 2, [1.0] * 2)
 
 
 def test_catalog_blank_short_and_long_rows(tmp_path):
