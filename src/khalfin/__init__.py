@@ -24,7 +24,6 @@ from .effham import (
     powerlaw_hamiltonian,
 )
 from .numerics import (
-    e1_asymptotic,
     exp_integral_e1,
     exp_integral_e1_scaled,
     lambert_w,

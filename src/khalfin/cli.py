@@ -23,19 +23,14 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, survival
 from .crossover import APPROX_VALIDITY_X, solve_crossover
 from .density import NormalizedDensity, ResonanceParams
 from .effham import effective_hamiltonian, effective_hamiltonian_fd
 from .errors import CatalogError, ConfigError, DomainError, KhalfinError
 from .redshift import (DopplerFrame, crossover_times, load_catalog,
                        observed_line_table)
-from .survival import (
-    Route,
-    amplitude_asymptotic,
-    amplitude_closed_form,
-    amplitude_quadrature,
-)
+from .survival import Route
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -223,43 +218,20 @@ def _emit(columns: dict, cfg: RunConfig):
 _AMPLITUDE_HEADER = ["t", "re_a", "im_a", "abs_a", "p_t", "route", "est_error"]
 
 
-def _route_samples(d: NormalizedDensity, grid: np.ndarray, cfg: RunConfig) -> dict:
-    """(value, est_error) arrays over the grid for each requested route.
-
-    The closed form takes the grid in one call.  The quadrature and
-    asymptotic routes are scalar; they run time-major, so the first
-    failing (t, route) is the one reported."""
-    routes = dict.fromkeys(cfg.routes)
-    out = {}
-    if Route.CLOSED_FORM.value in routes:
-        s = amplitude_closed_form(d, grid)
-        out[Route.CLOSED_FORM.value] = (s.value, s.est_error)
-    pointwise = [r for r in routes if r != Route.CLOSED_FORM.value]
-    samples = [[amplitude_quadrature(d, t)
-                if r == Route.QUADRATURE.value else amplitude_asymptotic(d, t, order=2)
-                for r in pointwise] for t in grid.tolist()]
-    for j, r in enumerate(pointwise):
-        out[r] = (np.array([row[j].value for row in samples], dtype=complex),
-                  np.array([row[j].est_error for row in samples], dtype=float))
-    return out
-
-
 def cmd_amplitude(cfg: RunConfig) -> int:
     d = NormalizedDensity.from_params(cfg.model())
     grid = cfg.time_grid()
-    samples = _route_samples(d, grid, cfg)
-    n, m = grid.size, len(cfg.routes)
-    t = grid.tolist()
-    columns = {name: [None] * (n * m) for name in _AMPLITUDE_HEADER}
-    # row k * m + j holds time k and route j: route j fills every m-th cell
-    for j, route in enumerate(cfg.routes):
-        value, est = samples[route]
-        a_abs = np.abs(value)
-        for name, col in zip(_AMPLITUDE_HEADER, (
-                t, value.real.tolist(), value.imag.tolist(), a_abs.tolist(),
-                np.square(a_abs).tolist(), [route] * n, est.tolist())):
-            columns[name][j::m] = col
-    _emit(columns, cfg)
+    # route r is survival.amplitude_<r>, looked up as the command runs
+    samples = [getattr(survival, f"amplitude_{r}")(d, grid) for r in cfg.routes]
+    # row k * m + j holds time k and route j
+    value = np.stack([s.value for s in samples], axis=1).ravel()
+    est = np.stack([s.est_error for s in samples], axis=1).ravel()
+    a_abs = np.abs(value)
+    _emit(dict(zip(_AMPLITUDE_HEADER, (
+        np.repeat(grid, len(samples)).tolist(), value.real.tolist(),
+        value.imag.tolist(), a_abs.tolist(), np.square(a_abs).tolist(),
+        list(cfg.routes) * grid.size, est.tolist(),
+    ))), cfg)
     return EXIT_OK
 
 

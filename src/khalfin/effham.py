@@ -22,11 +22,12 @@ import numpy as np
 
 from .density import NormalizedDensity
 from .errors import AmplitudeUnderflowError, DomainError, FitError
-from .numerics import _flat, _unflat
+from .numerics import _complex, _flat, _unflat
 from .survival import (
     AmplitudeSample,
     _closed_form,
     _delta,
+    _offset_sq_per_width,
     power_tail_coefficient,
 )
 
@@ -139,18 +140,19 @@ def effective_hamiltonian_fd(d: NormalizedDensity, t, with_exact: bool = False):
     return _exact_ratio(d, tt, shape, a, e1s_z1[:tt.size]), fd
 
 
-def hamiltonian_asymptotic(d: NormalizedDensity, t: float) -> HamiltonianSample:
+def hamiltonian_asymptotic(d: NormalizedDensity, t) -> HamiltonianSample:
     """Three-term long-time form:
-    h(t) ~ e_min - i hbar/t - 2 (e0 - e_min) (hbar/t)^2 / |pole - e_min|^2."""
-    if t <= 0:
-        raise DomainError("t must be > 0")
+    h(t) ~ e_min - i hbar/t - 2 (e0 - e_min) (hbar/t)^2 / |pole - e_min|^2.
+
+    t may be a scalar or an array; the form is never flagged.
+    """
+    tt, shape = _positive_times(t)
     p = d.params
-    ht = p.hbar / t
-    h = complex(
-        p.e_min - 2.0 * (p.e0 - p.e_min) * ht * ht / p.pole_offset_sq,
-        -ht,
-    )
-    return HamiltonianSample.from_h(t, h, HamiltonianRoute.ASYMPTOTIC)
+    ht = p.hbar / tt
+    h = _complex(p.e_min - 2.0 * p.x * ht * (ht / _offset_sq_per_width(p)), -ht)
+    return HamiltonianSample.from_h(_unflat(tt, shape), _unflat(h, shape),
+                                    HamiltonianRoute.ASYMPTOTIC,
+                                    _unflat(np.zeros(tt.shape, bool), shape))
 
 
 # ---------------------------------------------------------------------------

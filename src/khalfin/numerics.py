@@ -203,21 +203,17 @@ def exp_integral_e1(z):
     return _unflat(_e1(zz, scaled=False), shape)
 
 
-def e1_asymptotic(z: complex, n_terms: int) -> complex:
-    """Truncated large-|z| expansion (e^{-z}/z) sum_{k<n} (-1)^k k! / z^k."""
-    z = complex(z)
-    if z == 0:
-        raise DomainError("asymptotic expansion undefined at z = 0")
-    if not 1 <= n_terms <= 8:
-        raise DomainError("n_terms must be in 1..8")
-    if -z.real > _EXP_OVERFLOW:
-        raise RangeOverflowError("e^{-z} overflows; result not representable")
-    s = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    for k in range(n_terms):
-        s += term
-        term *= -(k + 1) / z
-    return cmath.exp(-z) / z * s
+def _e1s_asym_terms(z: np.ndarray, n: int) -> np.ndarray:
+    """The terms (-1)^k k! / z^{k+1}, k = 0..n, of the large-|z| expansion
+    of e^z E1(z), stacked along a new first axis before the axes of z.
+
+    Unlike _e1_asym_scaled the order is fixed.  Each term is the last one
+    times -k/z, so no power of z is formed that could overflow.
+    """
+    terms = [1.0 / z]
+    for k in range(1, n + 1):
+        terms.append(terms[-1] * (-k / z))
+    return np.array(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import NormalizedDensity
-from .errors import DomainError
+from .errors import DomainError, RangeOverflowError
 from .numerics import (
     _complex,
+    _e1s_asym_terms,
     _EPS,
     _flat,
     _integrate_pieces,
@@ -58,6 +59,19 @@ class AmplitudeSample:
         """Survival probability |a(t)|^2."""
         p = np.square(np.abs(self.value))
         return p if np.ndim(p) else float(p)
+
+
+def _sample(route: Route, t: np.ndarray, shape, value: np.ndarray,
+            est: np.ndarray) -> AmplitudeSample:
+    """The sample of a route over flat t, in the caller's shape.  Every
+    route passes through here, so none returns a value, |value|^2 or
+    error estimate that is not finite."""
+    bad = np.flatnonzero(~np.isfinite(np.square(np.abs(value)) + est))
+    if bad.size:
+        raise RangeOverflowError(f"{route.value} route: a(t={t[bad[0]]:g}) is "
+                                 "out of the double range")
+    return AmplitudeSample(_unflat(t, shape), _unflat(value, shape), route,
+                           _unflat(est, shape))
 
 
 def _phase_args(d: NormalizedDensity, t):
@@ -120,8 +134,7 @@ def amplitude_closed_form(d: NormalizedDensity, t) -> AmplitudeSample:
     if np.any(tt < 0):
         raise DomainError("t must be >= 0")
     value, est, _ = _closed_form(d, tt)
-    return AmplitudeSample(_unflat(tt, shape), _unflat(value, shape),
-                           Route.CLOSED_FORM, _unflat(est, shape))
+    return _sample(Route.CLOSED_FORM, tt, shape, value, est)
 
 
 def _rotated(xs: float, lo: float, hi: float, decay: float) -> complex:
@@ -134,24 +147,14 @@ def _span(knots, lo: float, hi: float) -> list:
     return sorted({lo, hi, *(c for c in knots if lo < c < hi)}) if lo < hi else []
 
 
-def amplitude_quadrature(d: NormalizedDensity, t: float) -> AmplitudeSample:
-    """Pole term plus one non-oscillating integral: the E1-free
-    cross-check for the closed form.  In width units (e_min = 0,
-    gamma0 = hbar = 1, tau = gamma0 t/hbar) the full-line Lorentzian gives
-    the pole term, and its part below threshold is rotated onto the
-    imaginary axis, away from the poles at y = +-1/2 + i x (numerical
-    steepest descent: Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44
-    (2006) 1026):
-
-        a = N e^{-i x tau - tau/2}
-            - (i N / 2 pi) int_0^inf e^{-tau y} / ((x + i y)^2 + 1/4) dy.
-
-    est_error is QUADPACK's error estimate plus the rounding floor.
-    """
-    if t < 0:
-        raise DomainError("t must be >= 0")
+def _quadrature(d: NormalizedDensity, t: float):
+    """(a(t), est_error) of the quadrature route at one t >= 0; NaN, which
+    _sample refuses, where the phase arguments overflow."""
     p = d.params
     u, v = _phase_args(d, t)
+    phase = p.e_min * t / p.hbar
+    if not math.isfinite(u + v + phase):
+        return math.nan, math.nan
     # y in units of y0 = 1 + x, so that nothing overflows: w = y/y0 on [0, h/2],
     # then c = w - h, exact beside the near-pole of width xs at w = h, up to
     # w = 1, and s = 1/w on (0, 1]; cut off where e^{-k w} < e^{-40}
@@ -178,48 +181,58 @@ def amplitude_quadrature(d: NormalizedDensity, t: float) -> AmplitudeSample:
     scale = d.norm_n / (TWO_PI * y0)
     pole = d.norm_n * cmath.exp(complex(-v, -u))
     below = -1j * scale * j
-    phase = p.e_min * t / p.hbar
     value = (pole + below) * cmath.exp(complex(0.0, -phase))
     # rounding floor: the pole term's exponent -v - iu (three roundings, as
     # in the closed form), the threshold phase (two) and a few ulps of each
     floor = _EPS * (1.5 * abs(complex(v, u)) * abs(pole) + abs(phase) * abs(value)
                     + 8.0 * (abs(pole) + abs(below)))
-    return AmplitudeSample(t, value, Route.QUADRATURE, float(scale * err + floor))
+    return value, scale * err + floor
 
 
-def _power_series_terms(d: NormalizedDensity, t: float, order: int):
-    """Terms of the 1/t background: (i N / 2 pi) e^{-i e_min t/hbar}
-    sum_{k>=0} (-1)^k k! (z2^{-(k+1)} - z1^{-(k+1)})."""
-    u, v = _phase_args(d, t)
-    z1 = complex(v, -u)
-    z2 = complex(-v, -u)
-    pref = (1j * d.norm_n / TWO_PI) * cmath.exp(-1j * d.params.e_min * t / d.params.hbar)
-    terms = []
-    fact = 1.0
-    for k in range(order + 1):
-        if k > 0:
-            fact *= k
-        sign = -fact if (k % 2) else fact
-        terms.append(pref * sign * (z2 ** -(k + 1) - z1 ** -(k + 1)))
-    return terms
+def amplitude_quadrature(d: NormalizedDensity, t) -> AmplitudeSample:
+    """Pole term plus one non-oscillating integral: the E1-free
+    cross-check for the closed form.  In width units (e_min = 0,
+    gamma0 = hbar = 1, tau = gamma0 t/hbar) the full-line Lorentzian gives
+    the pole term, and its part below threshold is rotated onto the
+    imaginary axis, away from the poles at y = +-1/2 + i x (numerical
+    steepest descent: Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44
+    (2006) 1026):
 
+        a = N e^{-i x tau - tau/2}
+            - (i N / 2 pi) int_0^inf e^{-tau y} / ((x + i y)^2 + 1/4) dy.
 
-def amplitude_asymptotic(d: NormalizedDensity, t: float,
-                         order: int = 2) -> AmplitudeSample:
-    """Pole term plus the first `order` inverse-power background terms.
-
-    est_error is the magnitude of the first omitted power term.
+    est_error is QUADPACK's error estimate plus the rounding floor.  t may
+    be a scalar or an array; each point is integrated on its own.
     """
-    if t <= 0:
+    tt, shape = _flat(t, float)
+    if np.any(tt < 0):
+        raise DomainError("t must be >= 0")
+    rows = [_quadrature(d, s) for s in tt.tolist()]
+    value = np.array([a for a, _ in rows], dtype=complex)
+    est = np.array([e for _, e in rows], dtype=float)
+    return _sample(Route.QUADRATURE, tt, shape, value, est)
+
+
+def amplitude_asymptotic(d: NormalizedDensity, t, order: int = 2) -> AmplitudeSample:
+    """Pole term plus the first `order` inverse-power background terms,
+    (i N / 2 pi) e^{-i e_min t/hbar} sum_k (-1)^k k! (z2^{-(k+1)} - z1^{-(k+1)}).
+
+    est_error is the magnitude of the first omitted power term.  t may be
+    a scalar or an array.
+    """
+    tt, shape = _flat(t, float)
+    if np.any(tt <= 0):
         raise DomainError("t must be > 0")
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
     p = d.params
-    _, v = _phase_args(d, t)
-    pole = d.norm_n * cmath.exp(complex(-v, -p.e0 * t / p.hbar))
-    terms = _power_series_terms(d, t, order)
-    value = pole + sum(terms[:order])
-    return AmplitudeSample(t, value, Route.ASYMPTOTIC, abs(terms[order]))
+    u, v = _phase_args(d, tt)
+    pole = d.norm_n * np.exp(_complex(-v, -p.e0 * tt / p.hbar))
+    pref = (1j * d.norm_n / TWO_PI) * _threshold_phase(d, tt)
+    terms = pref * (_e1s_asym_terms(_complex(-v, -u), order)
+                    - _e1s_asym_terms(_complex(v, -u), order))
+    value = pole + terms[:order].sum(axis=0)
+    return _sample(Route.ASYMPTOTIC, tt, shape, value, np.abs(terms[order]))
 
 
 def delta_amplitude(d: NormalizedDensity, t):
@@ -241,8 +254,13 @@ def decay_law(d: NormalizedDensity, t):
     return amplitude_closed_form(d, t).p
 
 
+def _offset_sq_per_width(p) -> float:
+    """|pole - e_min|^2 / gamma0 = d x + gamma0/4, with d = e0 - e_min:
+    unlike pole_offset_sq it stays normal however small gamma0 is."""
+    return (p.e0 - p.e_min) * p.x + 0.25 * p.gamma0
+
+
 def power_tail_coefficient(d: NormalizedDensity) -> float:
     """Magnitude of the leading 1/t coefficient of |a(t)| at long times:
     (N / 2 pi) gamma0 hbar / |pole - e_min|^2."""
-    p = d.params
-    return d.norm_n * p.gamma0 * p.hbar / (TWO_PI * p.pole_offset_sq)
+    return d.norm_n * d.params.hbar / (TWO_PI * _offset_sq_per_width(d.params))

@@ -8,7 +8,7 @@ import pathlib
 
 import mpmath as mp
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from khalfin import ResonanceParams, SpectralLine, cli
@@ -572,3 +572,49 @@ def test_crossover_fuzz_exits_0_2_or_3(tmp_path, doc, flags):
             *(s for flag in flags for s in flag), "--out", str(tmp_path / "out")]
     with contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 2, 3)
+
+
+# magnitudes up to 1e+-300, mostly positive, and exact zeros
+_magnitude = st.just(0.0) | st.builds(
+    lambda sign, m, k: sign * m * 10.0 ** k, st.sampled_from([1.0, 1.0, 1.0, -1.0]),
+    st.floats(min_value=1.0, max_value=10.0), st.integers(min_value=-300, max_value=300))
+_sweep_flags = st.lists(st.tuples(
+    st.sampled_from(["--x", "--gamma0", "--hbar", "--emin", "--t-start", "--t-stop"]),
+    _magnitude.map(repr))
+    | st.tuples(st.just("--points"), st.integers(min_value=1, max_value=6).map(str))
+    | st.tuples(st.sampled_from(["--linear-spacing", "--log-spacing"])),
+    max_size=7)
+_route_lists = st.permutations(["closed_form", "quadrature", "asymptotic"]).flatmap(
+    lambda routes: st.integers(min_value=1, max_value=3).map(lambda n: routes[:n]))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(head=st.just(["hamiltonian"]) | st.just(["hamiltonian", "--fd-check"])
+       | _route_lists.map(lambda r: ["amplitude", "--routes", ",".join(r)]),
+       flags=_sweep_flags)
+# x t overflows: the phase arguments are infinite
+@example(head=["amplitude", "--routes", "quadrature,asymptotic"],
+         flags=[("--x", "1e10"), ("--t-start", "1e300"), ("--t-stop", "1e301"),
+                ("--points", "2")])
+# gamma0 t overflows as well
+@example(head=["amplitude", "--routes", "asymptotic,quadrature"],
+         flags=[("--gamma0", "1e300"), ("--x", "0.5"), ("--t-start", "1e10"),
+                ("--t-stop", "1e11"), ("--points", "2")])
+# |z| ~ 1e252: z^2 overflows, the series terms do not
+@example(head=["amplitude", "--routes", "asymptotic,closed_form"],
+         flags=[("--t-start", "1.5430181958531523e+250"),
+                ("--t-stop", "7.656585009598995e+250"), ("--points", "2")])
+# |pole - e_min|^2 underflows to 0
+@example(head=["hamiltonian"],
+         flags=[("--gamma0", "1e-200"), ("--x", "100"), ("--t-start", "1e200"),
+                ("--t-stop", "1e201"), ("--points", "2")])
+def test_sweep_fuzz_exits_0_2_or_3_with_finite_rows(tmp_path, head, flags):
+    out = tmp_path / "out.csv"
+    argv = [*head, *(s for flag in flags for s in flag), "--out", str(out)]
+    with contextlib.redirect_stderr(io.StringIO()):
+        status = main(argv)
+    assert status in (0, 2, 3)
+    if status == EXIT_OK:
+        for row in csv.DictReader(out.open()):
+            assert all(math.isfinite(float(v)) for k, v in row.items() if k != "route")

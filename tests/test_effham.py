@@ -98,6 +98,16 @@ def test_domain_errors(d100):
         hamiltonian_asymptotic(d100, 0.0)
 
 
+def test_tiny_width_scales_like_unit_width():
+    # |pole - e_min|^2 underflows to 0 at gamma0 = 1e-200; h / gamma0 must
+    # still be the gamma0 = 1 value at the rescaled times
+    unit, tiny = make_density(0.0, 100.0, 1.0), make_density(0.0, 1e-198, 1e-200)
+    for route, ts in ((effective_hamiltonian, np.array([1.0, 10.0])),
+                      (hamiltonian_asymptotic, np.geomspace(1.0, 1e8, 5))):
+        a, b = route(unit, ts).h, route(tiny, ts * 1e200).h / 1e-200
+        assert np.all(np.abs(b - a) <= 1e-15 * np.abs(a))
+
+
 # ---------------------------------------------------------------------------
 # generalized inverse-power model
 # ---------------------------------------------------------------------------
@@ -181,7 +191,8 @@ def test_fit_powerlaw_tail_errors(d100):
 def test_array_equals_scalar_calls(x):
     d = make_density(0.0, x, 1.0)
     ts = np.array([1e-300, 1e-6, 0.05, 1.0, 13.0, 28.8, 300.0, 1e5])
-    for route, tt in ((effective_hamiltonian, ts), (effective_hamiltonian_fd, ts[2:])):
+    for route, tt in ((effective_hamiltonian, ts), (effective_hamiltonian_fd, ts[2:]),
+                      (hamiltonian_asymptotic, ts[1:])):
         s = route(d, tt)
         singles = [route(d, t) for t in tt.tolist()]
         assert s.t.tolist() == tt.tolist()
@@ -209,7 +220,7 @@ def test_fd_with_exact_reuses_the_stencil(x):
 
 
 def test_scalar_in_python_scalar_out(d100):
-    for route in (effective_hamiltonian, effective_hamiltonian_fd):
+    for route in (effective_hamiltonian, effective_hamiltonian_fd, hamiltonian_asymptotic):
         s = route(d100, np.float64(5.0))
         assert type(s.t) is float and type(s.h) is complex
         assert type(s.energy) is float and type(s.rate) is float

@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from khalfin import (
-    e1_asymptotic,
     exp_integral_e1,
     exp_integral_e1_scaled,
     lambert_w,
 )
 from khalfin.errors import ConvergenceError, DomainError, RangeOverflowError
-from khalfin.numerics import _integrate_pieces
+from khalfin.numerics import _e1s_asym_terms, _integrate_pieces
 
 
 def e1_oracle(z: complex) -> complex:
@@ -174,16 +173,18 @@ def test_e1_schwarz_reflection(r, th):
 
 def test_e1_asymptotic_truncation():
     z = 40.0 + 10.0j
-    ref = e1_oracle(z)
-    errs = [abs(e1_asymptotic(z, n) - ref) for n in (1, 2, 4, 8)]
+    with mp.workdps(30):
+        ref = complex(mp.exp(mp.mpc(z)) * mp.e1(mp.mpc(z)))
+    terms = _e1s_asym_terms(z, 8)
+    errs = [abs(terms[:n].sum() - ref) for n in (1, 2, 4, 8)]
     assert errs == sorted(errs, reverse=True)
     assert errs[-1] <= 1e-6 * abs(ref)
-    with pytest.raises(DomainError):
-        e1_asymptotic(z, 0)
-    with pytest.raises(DomainError):
-        e1_asymptotic(z, 9)
-    with pytest.raises(DomainError):
-        e1_asymptotic(0.0, 2)
+    # an element's terms do not depend on the rest of the array
+    zs = np.array([z, 3.0 - 2.0j, -50.0 + 1.0j, 1e250 - 1e252j])
+    assert _e1s_asym_terms(zs, 8).T.tolist() == [
+        _e1s_asym_terms(zs[k:k + 1], 8)[:, 0].tolist() for k in range(zs.size)]
+    # no power of z is formed, so no term overflows at large |z|
+    assert np.isfinite(_e1s_asym_terms(zs, 8)).all()
 
 
 # ---------------------------------------------------------------------------

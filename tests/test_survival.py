@@ -278,23 +278,28 @@ T_MIX = np.array([0.0, 1e-300, 1e-9, 0.01, 0.5, 3.0, 47.0, 300.0, 2e3, 1e5])
 @pytest.mark.parametrize("x", [0.3, 100.0])
 def test_closed_form_array_equals_scalar_calls(x):
     d = make_density(0.0, x, 1.0)
+    # the asymptotic series needs t > 0, and its 1/z^2 overflows at 1e-300
+    for route, ts in ((amplitude_closed_form, T_MIX), (amplitude_quadrature, T_MIX),
+                      (amplitude_asymptotic, T_MIX[2:])):
+        s = route(d, ts)
+        singles = [route(d, t) for t in ts.tolist()]
+        assert s.route is singles[0].route
+        assert s.t.tolist() == ts.tolist()
+        # a row never depends on the rest of the grid
+        assert s.value.tolist() == [r.value for r in singles]
+        assert s.est_error.tolist() == [r.est_error for r in singles]
+        assert route(d, ts[::-1]).value.tolist() == s.value.tolist()[::-1]
     s = amplitude_closed_form(d, T_MIX)
-    assert s.route is Route.CLOSED_FORM
-    assert s.t.tolist() == T_MIX.tolist()
-    # a row never depends on the rest of the grid
-    assert s.value.tolist() == [amplitude_closed_form(d, t).value for t in T_MIX.tolist()]
-    assert s.est_error.tolist() == [amplitude_closed_form(d, t).est_error
-                                    for t in T_MIX.tolist()]
     assert s.p.tolist() == [decay_law(d, t) for t in T_MIX.tolist()]
-    assert amplitude_closed_form(d, T_MIX[::-1]).value.tolist() == s.value.tolist()[::-1]
     ts = T_MIX[1:]
     assert delta_amplitude(d, ts).tolist() == [delta_amplitude(d, t) for t in ts.tolist()]
 
 
 def test_scalar_in_python_scalar_out(d100):
-    s = amplitude_closed_form(d100, np.float64(2.0))
-    assert type(s.t) is float and type(s.value) is complex
-    assert type(s.est_error) is float and type(s.p) is float
+    for route in (amplitude_closed_form, amplitude_quadrature, amplitude_asymptotic):
+        s = route(d100, np.float64(2.0))
+        assert type(s.t) is float and type(s.value) is complex
+        assert type(s.est_error) is float and type(s.p) is float
     assert type(delta_amplitude(d100, 2.0)) is complex
 
 
