@@ -21,7 +21,12 @@ from typing import Sequence
 import numpy as np
 
 from .density import NormalizedDensity
-from .errors import AmplitudeUnderflowError, DomainError, FitError
+from .errors import (
+    AmplitudeUnderflowError,
+    DomainError,
+    FitError,
+    RangeOverflowError,
+)
 from .numerics import _complex, _flat, _unflat
 from .survival import (
     AmplitudeSample,
@@ -76,11 +81,17 @@ def _require_nonvanishing(t: np.ndarray, a_abs: np.ndarray) -> None:
             f"|a({float(t[k])})| ~ {a_abs[k]:g}: amplitude vanished")
 
 
-def _sample(d, t, shape, h, a_abs, route) -> HamiltonianSample:
-    return HamiltonianSample.from_h(
-        _unflat(t, shape), _unflat(h, shape), route,
-        _unflat(_conditioning(d, t, a_abs), shape),
-    )
+def _sample(t, shape, h, route, ill_conditioned) -> HamiltonianSample:
+    """The sample of a route over flat t, in the caller's shape.  Every
+    h(t) route passes through here, so none returns an h, energy or rate
+    that is not finite."""
+    with np.errstate(over="ignore"):
+        bad = np.flatnonzero(~(np.isfinite(h) & np.isfinite(2.0 * h.imag)))
+    if bad.size:
+        raise RangeOverflowError(f"{route.value} route: h(t={t[bad[0]]:g}) is "
+                                 "out of the double range")
+    return HamiltonianSample.from_h(_unflat(t, shape), _unflat(h, shape), route,
+                                    _unflat(ill_conditioned, shape))
 
 
 def _positive_times(t):
@@ -95,7 +106,8 @@ def _exact_ratio(d, t, shape, a, e1s_z1) -> HamiltonianSample:
     a_abs = np.abs(a)
     _require_nonvanishing(t, a_abs)
     h = d.params.pole + _delta(d, t, e1s_z1) / a
-    return _sample(d, t, shape, h, a_abs, HamiltonianRoute.EXACT_RATIO)
+    return _sample(t, shape, h, HamiltonianRoute.EXACT_RATIO,
+                   _conditioning(d, t, a_abs))
 
 
 def effective_hamiltonian(d: NormalizedDensity, t) -> HamiltonianSample:
@@ -134,7 +146,8 @@ def effective_hamiltonian_fd(d: NormalizedDensity, t, with_exact: bool = False):
     d2 = (ahp - ahm) / (2.0 * half)
     deriv = (4.0 * d2 - d1) / 3.0
     h = 1j * p.hbar * deriv / a
-    fd = _sample(d, tt, shape, h, a_abs, HamiltonianRoute.FINITE_DIFFERENCE)
+    fd = _sample(tt, shape, h, HamiltonianRoute.FINITE_DIFFERENCE,
+                 _conditioning(d, tt, a_abs))
     if not with_exact:
         return fd
     return _exact_ratio(d, tt, shape, a, e1s_z1[:tt.size]), fd
@@ -150,9 +163,8 @@ def hamiltonian_asymptotic(d: NormalizedDensity, t) -> HamiltonianSample:
     p = d.params
     ht = p.hbar / tt
     h = _complex(p.e_min - 2.0 * p.x * ht * (ht / _offset_sq_per_width(p)), -ht)
-    return HamiltonianSample.from_h(_unflat(tt, shape), _unflat(h, shape),
-                                    HamiltonianRoute.ASYMPTOTIC,
-                                    _unflat(np.zeros(tt.shape, bool), shape))
+    return _sample(tt, shape, h, HamiltonianRoute.ASYMPTOTIC,
+                   np.zeros(tt.shape, bool))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import ConvergenceError, DomainError, RangeOverflowError
 
@@ -300,6 +299,15 @@ _QUADPACK = dict(limit=200, epsabs=0.0, epsrel=1e-13)
 _ACCEPT_REL = 1e-10
 
 
+def quad(func, a, b, **kwargs):
+    """scipy.integrate.quad, imported on the first call: importing SciPy
+    takes longer than the rest of a closed-form run, and only the
+    quadrature route integrates."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(func, a, b, **kwargs)
+
+
 def _integrate_pieces(pieces):
     """(value, summed error estimate) of the sum over (f, knots) in pieces
     of the integrals of f between consecutive knots, by QAGS on the real
@@ -308,6 +316,8 @@ def _integrate_pieces(pieces):
     Raises ConvergenceError when the value or error is not finite, or
     QUADPACK warned and the error exceeds 1e-10 of the whole value.
     """
+    from scipy.integrate import IntegrationWarning
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IntegrationWarning)
         parts = [[quad(lambda u: part(f(u)), a, b, **_QUADPACK)

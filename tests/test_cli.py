@@ -4,7 +4,10 @@ import csv
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import mpmath as mp
 import pytest
@@ -618,3 +621,33 @@ def test_sweep_fuzz_exits_0_2_or_3_with_finite_rows(tmp_path, head, flags):
     if status == EXIT_OK:
         for row in csv.DictReader(out.open()):
             assert all(math.isfinite(float(v)) for k, v in row.items() if k != "route")
+
+
+_IMPORT_PROBE = """
+import contextlib, io, sys
+from khalfin.cli import main
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(list(argv)) == 0, argv
+
+run("crossover", "--x", "100")
+run("amplitude", "--x", "100", "--points", "20")
+run("hamiltonian", "--x", "100", "--t-start", "0.1", "--t-stop", "3000",
+    "--fd-check")
+run("redshift", "--catalog", sys.argv[1])
+assert "scipy" not in sys.modules, "a closed-form run imported SciPy"
+run("amplitude", "--x", "100", "--points", "3", "--routes", "quadrature")
+assert "scipy.integrate" in sys.modules
+"""
+
+
+def test_scipy_is_imported_only_by_the_quadrature_route(demo_catalog_path):
+    # a fresh interpreter, since this one has SciPy loaded by other tests
+    src = pathlib.Path(cli.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(demo_catalog_path)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -15,7 +15,7 @@ from khalfin import (
     make_density,
     powerlaw_hamiltonian,
 )
-from khalfin.errors import DomainError, FitError
+from khalfin.errors import DomainError, FitError, RangeOverflowError
 
 
 def test_exact_vs_finite_difference(d100):
@@ -96,6 +96,20 @@ def test_domain_errors(d100):
         effective_hamiltonian_fd(d100, 1e-9)
     with pytest.raises(DomainError):
         hamiltonian_asymptotic(d100, 0.0)
+
+
+def test_non_finite_h_is_refused(d100):
+    # Re h ~ -2 x (hbar/t)^2 / (x^2 + 1/4) overflows to -inf at t = 1e-170;
+    # the route names itself and the first such t
+    with np.errstate(over="ignore"):
+        for t in (1e-170, np.array([1.0, 1e-170, 1e-200])):
+            with pytest.raises(RangeOverflowError,
+                               match=r"^asymptotic route: h\(t=1e-170\)"):
+                hamiltonian_asymptotic(d100, t)
+        # h = -8e306 - 1e308 i is finite, the rate 2e308 is not
+        wide = make_density(0.0, 1e290, 1e300, hbar=1e308)
+        with pytest.raises(RangeOverflowError, match=r"h\(t=1\)"):
+            hamiltonian_asymptotic(wide, 1.0)
 
 
 def test_tiny_width_scales_like_unit_width():

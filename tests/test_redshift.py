@@ -2,9 +2,10 @@ import math
 import re
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from khalfin import (
@@ -81,6 +82,19 @@ def test_catalog_blank_short_and_long_rows(tmp_path):
 def test_relaxation_coefficient():
     ln = _line("a", 3.0, 2.0, e_min=1.0)
     assert abs(relaxation_coefficient(ln) - 2.0 / (4.0 + 1.0)) <= 1e-15
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0))
+@example(math.log10(1e155), -1.0)  # d^2 overflows: g read 0
+@example(-160.0, -160.0)  # d^2 + gamma0^2/4 underflows
+def test_relaxation_coefficient_has_no_overflow(log10_d, log10_gamma0):
+    d, gamma0 = 10.0 ** log10_d, 10.0 ** log10_gamma0
+    g = relaxation_coefficient(_line("a", d, gamma0))
+    with mp.workdps(40):
+        want = mp.mpf(d) / (mp.mpf(d) ** 2 + mp.mpf(gamma0) ** 2 / 4)
+        assert math.isfinite(g)
+        assert abs(g - want) <= 4 * math.ulp(float(want))
 
 
 def test_asymptotic_energy_relaxes_to_threshold():
