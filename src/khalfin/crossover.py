@@ -4,11 +4,13 @@ In the dimensionless time s = gamma0 t / hbar the two contributions to
 the decay law are comparable where
 
     e^{-s} = A / s^2,   A = (gamma0^4 / |pole - e_min|^4) / (4 pi^2)
-                          = 1 / (4 pi^2 (x^2 + 1/4)^2).
+                          = (g_w / x / 2 pi)^2,
 
-For x >= 1, 2 ln s - s - ln A = 0 has two real roots, either side of
-s = 2; the physical crossover is the large one.  `crossover_roots` finds
-both by Newton iteration on arrays of x, in ln A so that no x overflows.
+with g_w = x / (x^2 + 1/4) the relaxation coefficient g of
+khalfin.density in width units.  For x >= 1, 2 ln s - s - ln A = 0 has
+two real roots, either side of s = 2; the physical crossover is the
+large one.  `crossover_roots` finds both by Newton iteration on arrays
+of x, in ln A = 2 (ln g_w - ln x - ln 2 pi), so that no x overflows.
 Differentiating the relation gives ds/d ln x = 4 x^2/(x^2 + 1/4) /
 (1 - 2/s), which approaches 4 from above as x grows.  The classical
 logarithmic approximation s ~ 8.28 + 4 ln x + 2 ln(8.28 + 4 ln x) is
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import NormalizedDensity
+from .density import NormalizedDensity, _relaxation
 from .errors import ConvergenceError, DomainError
 
 APPROX_CONSTANT = 8.28
@@ -34,11 +36,21 @@ _TWO_PI = 2.0 * math.pi
 _EPS = np.finfo(float).eps
 
 
+def _dominance(x):
+    """(ln A, sqrt A) of the crossover relation at x, scalar or array.
+
+    With g_w = g(x, 1, 0) = x/(x^2 + 1/4), the relaxation coefficient in
+    width units, sqrt A = g_w/x/2pi and ln A = 2 (ln g_w - ln x - ln 2pi):
+    no x overflows, and ln A stays exact where sqrt A underflows."""
+    g_w = _relaxation(x, 1.0, 0.0)
+    return 2.0 * (np.log(g_w) - np.log(x) - math.log(_TWO_PI)), g_w / x / _TWO_PI
+
+
 def dominance_coefficient(d: NormalizedDensity) -> float:
-    """The constant A of the crossover relation (0 where it underflows)."""
-    x = d.params.x
-    q = x * x + 0.25
-    return 1.0 / (4.0 * math.pi ** 2 * (q * q))
+    """The constant A of the crossover relation (subnormal, then 0, where
+    it underflows)."""
+    root_a = _dominance(d.params.x)[1]
+    return root_a * root_a
 
 
 def crossover_equation_sides(d: NormalizedDensity, s: float):
@@ -74,10 +86,7 @@ def crossover_roots(x):
     x = np.asarray(x, dtype=float)
     if not np.all((x >= 1.0) & (x < np.inf)):
         raise DomainError("crossover solver requires a finite x >= 1")
-    huge = x > 1e150  # x^2 + 1/4 == x^2 here; x^2 overflows from 1.3e154
-    w = _TWO_PI * (np.where(huge, 1.0, x) ** 2 + 0.25)  # 1/sqrt(A)
-    log_a = -2.0 * np.where(huge, math.log(_TWO_PI) + 2.0 * np.log(x), np.log(w))
-    root_a = np.where(huge, 1.0 / x / x / _TWO_PI, 1.0 / w)
+    log_a, root_a = _dominance(x)
 
     def large_step(s):
         return (2.0 * np.log(s) - s - log_a) / (2.0 / s - 1.0)
@@ -127,7 +136,7 @@ def solve_crossover(d: NormalizedDensity) -> CrossoverResult:
     the large root and the logarithmic approximation."""
     small, large = crossover_roots([d.params.x])
     s_large = float(large[0])
-    lhs, rhs = crossover_equation_sides(d, s_large)
+    a = dominance_coefficient(d)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         approx = paper_approx_crossover(d)
@@ -135,6 +144,7 @@ def solve_crossover(d: NormalizedDensity) -> CrossoverResult:
         s_exact_small=float(small[0]),
         s_exact_large=s_large,
         s_paper_approx=approx,
-        residual=abs(lhs - rhs),
-        a_coefficient=dominance_coefficient(d),
+        # crossover_equation_sides, with A formed once
+        residual=abs(math.exp(-s_large) - a / (s_large * s_large)),
+        a_coefficient=a,
     )

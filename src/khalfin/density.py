@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 
@@ -57,6 +59,37 @@ class ResonanceParams:
         """|pole - e_min|^2 = (e0 - e_min)^2 + (gamma0/2)^2."""
         d = self.e0 - self.e_min
         return d * d + 0.25 * self.gamma0 * self.gamma0
+
+
+def _relaxation(e0, gamma0, e_min):
+    """g = (e0 - e_min) / |pole - e_min|^2 of scalars or arrays alike.
+
+    Where the larger of d = e0 - e_min and gamma0 is outside
+    (1e-140, 1e150), d^2 + gamma0^2/4 over- or underflows; there g is
+    d / r / r with r = |pole - e_min| from hypot, within a few ulps."""
+    d = np.subtract(e0, e_min)
+    scale = np.maximum(d, gamma0)
+    plain = (scale > 1e-140) & (scale < 1e150)
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        r = np.hypot(d, 0.5 * gamma0)
+        g = np.where(plain, d / (d * d + 0.25 * gamma0 * gamma0), d / r / r)
+    return g if np.ndim(g) else float(g)
+
+
+def _late_time_energy(e0, gamma0, e_min, hbar, t):
+    """Late-time energy e_min - 2 g (hbar/t)^2 of scalars or arrays alike.
+
+    Where hbar/t is in (1e-150, 1e150) the square is libm pow, as Python's
+    float ** 2 takes it (ndarray ** 2 multiplies, which differs in the last
+    bit for ~0.1% of arguments); outside it is (g hbar/t) hbar/t, which
+    stays in range wherever the product does.  A result out of the double
+    range is returned as it comes, for the caller to refuse."""
+    ht = np.divide(hbar, t)
+    g2 = 2.0 * _relaxation(e0, gamma0, e_min)
+    plain = (ht > 1e-150) & (ht < 1e150)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        e = e_min - np.where(plain, g2 * np.float_power(ht, 2), g2 * ht * ht)
+    return e if np.ndim(e) else float(e)
 
 
 def _norm_from_ratio(x: float) -> float:

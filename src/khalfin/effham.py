@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .density import NormalizedDensity
+from .density import NormalizedDensity, _late_time_energy
 from .errors import (
     AmplitudeUnderflowError,
     DomainError,
@@ -32,7 +32,6 @@ from .survival import (
     AmplitudeSample,
     _closed_form,
     _delta,
-    _offset_sq_per_width,
     power_tail_coefficient,
 )
 
@@ -155,14 +154,15 @@ def effective_hamiltonian_fd(d: NormalizedDensity, t, with_exact: bool = False):
 
 def hamiltonian_asymptotic(d: NormalizedDensity, t) -> HamiltonianSample:
     """Three-term long-time form:
-    h(t) ~ e_min - i hbar/t - 2 (e0 - e_min) (hbar/t)^2 / |pole - e_min|^2.
+    h(t) ~ e_min - i hbar/t - 2 (e0 - e_min) (hbar/t)^2 / |pole - e_min|^2,
+    whose real part is the late-time energy the redshift columns report.
 
     t may be a scalar or an array; the form is never flagged.
     """
     tt, shape = _positive_times(t)
     p = d.params
-    ht = p.hbar / tt
-    h = _complex(p.e_min - 2.0 * p.x * ht * (ht / _offset_sq_per_width(p)), -ht)
+    h = _complex(_late_time_energy(p.e0, p.gamma0, p.e_min, p.hbar, tt),
+                 -p.hbar / tt)
     return _sample(tt, shape, h, HamiltonianRoute.ASYMPTOTIC,
                    np.zeros(tt.shape, bool))
 

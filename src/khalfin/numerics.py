@@ -133,27 +133,6 @@ def _e1_cf_scaled(z: np.ndarray, max_iter: int = 600) -> np.ndarray:
     return out
 
 
-def _e1_asym_scaled(z: np.ndarray) -> np.ndarray:
-    """Full asymptotic series for e^z E1(z), truncated at its smallest term.
-
-    Accurate to ~e^{-|z|}; only used for |z| >= 40 where that beats 1e-16.
-    Converged elements get zero terms, as in _e1_series.
-    """
-    s = np.zeros_like(z)
-    term = 1.0 / z
-    prev = np.abs(term)
-    for k in range(1, 200):
-        s = s + term
-        term = term * (-k / z)
-        a = np.abs(term)
-        done = (a >= prev) | (a < 1e-18 * np.abs(s))
-        if done.all():
-            break
-        term = np.where(done, 0.0, term)
-        prev = a
-    return s
-
-
 def _e1(z: np.ndarray, scaled: bool) -> np.ndarray:
     """E1 (or e^z E1 when scaled) of a flat, domain-checked array, with
     one pass of each branch over its own elements."""
@@ -168,7 +147,9 @@ def _e1(z: np.ndarray, scaled: bool) -> np.ndarray:
     if cf.any():
         out[cf] = _e1_cf_scaled(z[cf])
     if asym.any():
-        out[asym] = _e1_asym_scaled(z[asym])
+        # for |z| >= 40 the terms fall up to k = 39: the series stops at
+        # about its smallest term, about e^{-40} of the sum
+        out[asym] = _e1s_asym_terms(z[asym], 39).sum(axis=0)
     if not scaled:
         out[~series] = out[~series] * np.exp(-z[~series])
     return out
@@ -206,8 +187,8 @@ def _e1s_asym_terms(z: np.ndarray, n: int) -> np.ndarray:
     """The terms (-1)^k k! / z^{k+1}, k = 0..n, of the large-|z| expansion
     of e^z E1(z), stacked along a new first axis before the axes of z.
 
-    Unlike _e1_asym_scaled the order is fixed.  Each term is the last one
-    times -k/z, so no power of z is formed that could overflow.
+    Each term is the last one times -k/z, so no power of z is formed that
+    could overflow.
     """
     terms = [1.0 / z]
     for k in range(1, n + 1):

@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .crossover import crossover_roots
-from .density import ResonanceParams
-from .errors import CatalogError, DomainError
+from .density import ResonanceParams, _late_time_energy, _relaxation
+from .errors import CatalogError, DomainError, RangeOverflowError
 
 _EMIN_RTOL = 1e-12
 # characters that would split or quote a line id's CSV cell
@@ -181,30 +181,16 @@ def _require_common_e_min(*lines: SpectralLine) -> float:
     return e0
 
 
-def _relaxation(e0, gamma0, e_min):
-    """g = (e0 - e_min) / |pole - e_min|^2 of scalars or arrays alike.
-
-    Where the larger of d = e0 - e_min and gamma0 is outside
-    (1e-140, 1e150), d^2 + gamma0^2/4 over- or underflows; there g is
-    d / r / r with r = |pole - e_min| from hypot, within a few ulps."""
-    d = np.subtract(e0, e_min)
-    scale = np.maximum(d, gamma0)
-    plain = (scale > 1e-140) & (scale < 1e150)
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        r = np.hypot(d, 0.5 * gamma0)
-        g = np.where(plain, d / (d * d + 0.25 * gamma0 * gamma0), d / r / r)
-    return g if np.ndim(g) else float(g)
-
-
-def _relaxed_energy(e0, gamma0, e_min, hbar, t):
-    """e_min - 2 g (hbar/t)^2 of scalars or arrays alike.
-
-    The square is libm pow, as Python's float ** 2 takes it: ndarray ** 2
-    multiplies, which differs in the last bit for ~0.1% of arguments.  An
-    overflow raises, as it does in Python."""
-    with np.errstate(over="raise"):
-        h2 = np.float_power(hbar / t, 2)
-    return e_min - 2.0 * _relaxation(e0, gamma0, e_min) * h2
+def _late_time_energies(ids, e0, gamma0, e_min, hbar, t) -> np.ndarray:
+    """The late-time energy of each line at t, as an array; raises
+    RangeOverflowError naming the first line where it leaves the double
+    range."""
+    e = np.atleast_1d(_late_time_energy(e0, gamma0, e_min, hbar, t))
+    bad = np.flatnonzero(~np.isfinite(e))
+    if bad.size:
+        raise RangeOverflowError(f"line {ids[bad[0]]!r}: the late-time energy "
+                                 f"at t = {t:g} is out of the double range")
+    return e
 
 
 def relaxation_coefficient(line: SpectralLine) -> float:
@@ -239,7 +225,8 @@ def asymptotic_energy(line: SpectralLine, t: float) -> float:
             "the asymptotic energy formula is not yet accurate", stacklevel=2,
         )
     p = line.params
-    return float(_relaxed_energy(p.e0, p.gamma0, p.e_min, p.hbar, t))
+    e = _late_time_energies([line.id], p.e0, p.gamma0, p.e_min, p.hbar, t)
+    return float(e[0])
 
 
 def energy_difference_asymptotic(l1: SpectralLine, l2: SpectralLine,
@@ -296,13 +283,15 @@ def observed_line_table(catalog: LineCatalog, frame: DopplerFrame,
     pair-check column records, for each row after the first, whether the
     observed late-time line separation from the previous row is smaller
     than kappa times the emitted separation (1 pass / 0 fail, empty for
-    the first row).  e_inf is asymptotic_energy without its crossover check.
+    the first row).  e_inf is asymptotic_energy without its crossover
+    check; RangeOverflowError names the first line whose e_inf leaves the
+    double range.
     """
     if t <= 0:
         raise DomainError("t must be > 0")
     k = frame.kappa
     e0, gamma0, e_min, hbar = catalog.resolved_columns()
-    e_inf = _relaxed_energy(e0, gamma0, e_min, hbar, t)
+    e_inf = _late_time_energies(catalog.ids, e0, gamma0, e_min, hbar, t)
     e_inf_obs = k * e_inf
     check = np.abs(np.diff(e_inf_obs)) < k * np.abs(np.diff(e0))
     return {

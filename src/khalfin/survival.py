@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import NormalizedDensity
+from .density import NormalizedDensity, _relaxation
 from .errors import DomainError, RangeOverflowError
 from .numerics import (
     _complex,
@@ -254,13 +254,12 @@ def decay_law(d: NormalizedDensity, t):
     return amplitude_closed_form(d, t).p
 
 
-def _offset_sq_per_width(p) -> float:
-    """|pole - e_min|^2 / gamma0 = d x + gamma0/4, with d = e0 - e_min:
-    unlike pole_offset_sq it stays normal however small gamma0 is."""
-    return (p.e0 - p.e_min) * p.x + 0.25 * p.gamma0
-
-
 def power_tail_coefficient(d: NormalizedDensity) -> float:
     """Magnitude of the leading 1/t coefficient of |a(t)| at long times:
-    (N / 2 pi) gamma0 hbar / |pole - e_min|^2."""
-    return d.norm_n * d.params.hbar / (TWO_PI * _offset_sq_per_width(d.params))
+    (N / 2 pi) gamma0 hbar / |pole - e_min|^2 = N hbar (g/x) / 2 pi.
+
+    Grouped as (N/2pi) (hbar/x) g, no partial product leaves the double
+    range unless the result does, for gamma0 and hbar in [1e-300, 1e300]
+    and x in [1e-3, 1e6]."""
+    p = d.params
+    return d.norm_n / TWO_PI * (p.hbar / p.x) * _relaxation(p.e0, p.gamma0, p.e_min)

@@ -235,6 +235,46 @@ def test_redshift_huge_line(capsys, tmp_path):
         assert all(math.isfinite(float(c)) for c in row.split(",")[1:5])
 
 
+_UNIT_CATALOG = "id,e0,gamma0,e_min\nA,1,0.01,0\nB,2,0.02,0\n"
+
+
+@pytest.mark.parametrize("scale, text", [
+    # e_inf read 0.0: (hbar/t)^2 underflowed
+    (1e-198, "id,e0,gamma0,e_min\nA,1e-198,1e-200,0\nB,2e-198,2e-200,0\n"),
+    # exit 3, "overflow encountered in float_power"
+    (1e202, "id,e0,gamma0,e_min\nA,1e202,1e200,0\nB,2e202,2e200,0\n"),
+], ids=["1e-198", "1e202"])
+def test_redshift_rescales_with_the_catalog(capsys, tmp_path, scale, text):
+    # a catalog of energies times `scale` has the default age over `scale`
+    # and every energy column times `scale`
+    cat = tmp_path / "cat.csv"
+    cat.write_text(_UNIT_CATALOG)
+    status, unit, _ = run(capsys, "redshift", "--catalog", str(cat))
+    assert status == EXIT_OK
+    cat.write_text(text)
+    status, out, err = run(capsys, "redshift", "--catalog", str(cat))
+    assert status == EXIT_OK and err == ""
+    rows = [row.split(",") for row in out.splitlines()[1:]]
+    assert rows[0][2].startswith("-9.632427283206")
+    for got, want in zip(rows, (row.split(",") for row in unit.splitlines()[1:])):
+        assert got[5] == want[5]
+        for a, b in zip(got[1:5], want[1:5]):
+            assert float(a) == pytest.approx(float(b) * scale, rel=1e-14)
+
+
+def test_redshift_refuses_an_energy_out_of_range(capsys, tmp_path):
+    # g ~ 1e300 for line B, so 2 g (hbar/t)^2 overflows at t = 1e-10
+    cat = tmp_path / "cat.csv"
+    cat.write_text("id,e0,gamma0\nA,2.0,0.1\nB,1e-300,1e-302\n")
+    status, out, err = run(capsys, "redshift", "--catalog", str(cat),
+                           "--t-start", "1e-20", "--t-stop", "1e-10")
+    assert status == cli.EXIT_NUMERICAL and out == ""
+    assert err.startswith("numerical failure: line 'B': ")
+    assert "t = 1e-10" in err
+    status, _, _ = run(capsys, "redshift", "--catalog", str(cat), "--t-stop", "1")
+    assert status == EXIT_OK
+
+
 def test_parser_error_leaves_no_state(capsys):
     # the parser is built once per process; a failed parse must not
     # change what a later valid call prints
@@ -621,6 +661,72 @@ def test_sweep_fuzz_exits_0_2_or_3_with_finite_rows(tmp_path, head, flags):
     if status == EXIT_OK:
         for row in csv.DictReader(out.open()):
             assert all(math.isfinite(float(v)) for k, v in row.items() if k != "route")
+
+
+_CATALOG = "<catalog>"   # stands for the catalog's path in a config document
+_positive = st.builds(lambda m, k: m * 10.0 ** k, st.floats(min_value=1.0, max_value=10.0),
+                      st.integers(min_value=-300, max_value=300))
+
+
+def _mostly(good, junk=_json_values):
+    """good three times in four, junk otherwise."""
+    return st.integers(0, 3).flatmap(lambda k: good if k < 3 else junk)
+
+
+_value = _mostly(_positive, _magnitude)
+# (e0, gamma0, e_min) cells: mostly a line of x = 10^lx above its e_min
+# (or above 0, with the e_min cell empty), sometimes any three numbers
+_redshift_rows = st.lists(_mostly(st.builds(
+    lambda gamma0, lx, e_min: (repr((e_min or 0.0) + 10.0 ** lx * gamma0),
+                               repr(gamma0), "" if e_min is None else repr(e_min)),
+    _positive, st.floats(0.0, 300.0) | st.floats(-3.0, 0.0), st.none() | _magnitude),
+    st.tuples(*[_magnitude.map(repr)] * 2, st.just("") | _magnitude.map(repr))),
+    min_size=1, max_size=4)
+# each flag as --flag=value, so that a negative value is not read as a flag
+_redshift_flags = st.lists(
+    st.builds("{}={!r}".format, st.sampled_from(["--t-stop", "--hbar"]), _value)
+    | st.builds("--emin={!r}".format, _magnitude)
+    | st.builds("--beta={!r}".format, st.floats(0.0, 1.0) | _magnitude),
+    max_size=4)
+_redshift_docs = _mostly(st.fixed_dictionaries({}, optional={
+    "catalog_path": _mostly(st.just(_CATALOG)),
+    "sweep": _mostly(st.fixed_dictionaries({}, optional={"t_start": _value,
+                                                         "t_stop": _value})),
+    "model": _mostly(st.fixed_dictionaries({}, optional={"e_min": _magnitude,
+                                                         "hbar": _value})),
+    "outputs": st.fixed_dictionaries({}, optional={
+        "format": st.sampled_from(["csv", "json"])}),
+}))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=_redshift_rows, with_e_min=st.booleans(),
+       catalog_flag=_mostly(st.just(True), st.just(False)),
+       flags=_redshift_flags, doc=_redshift_docs)
+def test_redshift_fuzz_exits_0_2_or_3_with_finite_cells(tmp_path, rows, with_e_min,
+                                                        catalog_flag, flags, doc):
+    cat, out = tmp_path / "cat.csv", tmp_path / "out"
+    header = "id,e0,gamma0,e_min" if with_e_min else "id,e0,gamma0"
+    cat.write_text("\n".join([header] + [
+        ",".join((f"L{n}", *cells)[:4 if with_e_min else 3])
+        for n, cells in enumerate(rows)]) + "\n")
+    text = json.dumps(doc).replace(json.dumps(_CATALOG), json.dumps(str(cat)))
+    (tmp_path / "run.json").write_text(text)
+    argv = ["redshift", "--config", str(tmp_path / "run.json"), *flags,
+            *(["--catalog", str(cat)] if catalog_flag else []), "--out", str(out)]
+    with contextlib.redirect_stderr(io.StringIO()):
+        status = main(argv)
+    assert status in (0, 2, 3)
+    if status == EXIT_OK:
+        text = out.read_text()
+        table = (json.loads(text)["rows"] if text.startswith("{")
+                 else list(csv.DictReader(io.StringIO(text))))
+        assert len(table) == len(rows)
+        for row in table:
+            assert all(math.isfinite(float(row[k]))
+                       for k in ("e0", "e_inf", "e0_obs", "e_inf_obs"))
+            assert row["delta_pair_check"] in ("", 0, 1, "0", "1")
 
 
 _IMPORT_PROBE = """

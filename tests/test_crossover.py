@@ -88,8 +88,9 @@ def test_requires_x_at_least_one():
 
 @pytest.mark.parametrize("x", [1e80, 1e155, 1e300])
 def test_huge_x(x):
-    # A underflows from x ~ 5e76 and x^2 overflows from ~1.3e154; the
-    # roots are solved in ln A and stay exact
+    # A leaves the normal range from x ~ 5e76, and g_w = x/(x^2 + 1/4)
+    # takes hypot from x = 1e150; ln A is formed from ln g_w and ln x, so
+    # the roots stay exact
     res = solve_crossover(make_density(0.0, x, 1.0))
     small, large = _mp_roots(x)
     assert _rel(res.s_exact_large, large) <= 1e-13

@@ -21,9 +21,15 @@ from khalfin import (
     observed_line_table,
     ratio_diagnostic,
 )
-from khalfin.errors import CatalogError, DomainError
+from khalfin import hamiltonian_asymptotic, make_density, power_tail_coefficient
+from khalfin.density import _relaxation
+from khalfin.errors import CatalogError, DomainError, RangeOverflowError
 from khalfin.redshift import (crossover_time, crossover_times,
                               relaxation_coefficient)
+
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+_MAX = np.finfo(float).max
 
 
 def _line(lid, e0, gamma0, e_min=0.0):
@@ -95,6 +101,81 @@ def test_relaxation_coefficient_has_no_overflow(log10_d, log10_gamma0):
         want = mp.mpf(d) / (mp.mpf(d) ** 2 + mp.mpf(gamma0) ** 2 / 4)
         assert math.isfinite(g)
         assert abs(g - want) <= 4 * math.ulp(float(want))
+
+
+def _one_line(e0, gamma0, e_min, hbar):
+    return LineCatalog(["L"], [e0], [gamma0], [e_min], [hbar])
+
+
+def _rescaled(got, want, floor=0.0):
+    """got matches the mpmath value want within 8 ulps, plus an absolute
+    floor; 8 eps tiny covers the rounding of a subnormal result."""
+    return abs(mp.mpf(got) - want) <= 8 * _EPS * (abs(want) + _TINY) + floor
+
+
+# the default redshift age of the catalogs A,1,0.01 / B,2,0.02 in width
+# units: 50 crossover times of x = 100
+_DEMO_TAU = 50.0 * 28.81852144874001
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(-300, 300), m=st.integers(-300, 300),
+       log10_x=st.floats(-3.0, 6.0), log10_tau=st.floats(-8.0, 8.0),
+       shift=st.sampled_from([0.0, 0.0, -2.5]))
+# those catalogs rescaled by 1e-198: e_inf read 0.0 ...
+@example(k=-200, m=0, log10_x=2.0, log10_tau=math.log10(_DEMO_TAU), shift=0.0)
+# ... and by 1e202: (hbar/t)^2 overflowed
+@example(k=200, m=0, log10_x=2.0, log10_tau=math.log10(_DEMO_TAU), shift=0.0)
+# out of the double range: refused
+@example(k=300, m=10, log10_x=0.0, log10_tau=-8.0, shift=0.0)
+# a shifted threshold
+@example(k=-150, m=40, log10_x=0.5, log10_tau=3.0, shift=-2.5)
+def test_late_time_layer_is_scale_covariant(k, m, log10_x, log10_tau, shift):
+    """g, the 1/t tail coefficient, h(t) ~ e_min - i hbar/t - 2 g (hbar/t)^2
+    and redshift's e_inf at gamma0 = 10^k, hbar = 10^m and
+    e_min = shift gamma0 are the gamma0 = hbar = 1, e_min = 0 values of
+    the same x and tau = gamma0 t/hbar, rescaled; or the call refuses a
+    result out of the double range."""
+    gamma0, hbar = 10.0 ** k, 10.0 ** m
+    e_min = shift * gamma0
+    e0 = e_min + 10.0 ** log10_x * gamma0
+    t = 10.0 ** log10_tau * hbar / gamma0
+    assume(_TINY <= t < math.inf)
+    d = make_density(e_min, e0, gamma0, hbar)
+    with mp.workdps(40):
+        # the width-unit problem the scaled inputs pose, rounded once
+        x = float((mp.mpf(e0) - e_min) / gamma0)
+        tau = float(mp.mpf(t) * gamma0 / hbar)
+        unit = make_density(0.0, x, 1.0)
+        g_w = _relaxation(x, 1.0, 0.0)
+        assert _rescaled(_relaxation(e0, gamma0, e_min), mp.mpf(g_w) / gamma0)
+
+        want = mp.mpf(power_tail_coefficient(unit)) * hbar / gamma0
+        got = power_tail_coefficient(d)
+        assert got == math.inf if want >= _MAX else _rescaled(got, want)
+
+        # energies relative to e_min, which rounds to an ulp of e_min
+        floor = 2 * math.ulp(e_min)
+        h_w = hamiltonian_asymptotic(unit, tau).h
+        want_re, want_im = mp.mpf(h_w.real) * gamma0, mp.mpf(h_w.imag) * gamma0
+        if abs(want_re) >= _MAX or 2 * abs(want_im) >= _MAX:
+            with pytest.raises(RangeOverflowError):
+                hamiltonian_asymptotic(d, t)
+        else:
+            h = hamiltonian_asymptotic(d, t).h
+            assert _rescaled(mp.mpf(h.real) - e_min, want_re, floor)
+            assert _rescaled(h.imag, want_im)
+
+        frame = DopplerFrame(0.0)
+        e_w = observed_line_table(_one_line(x, 1.0, 0.0, 1.0), frame, tau)["e_inf"][0]
+        want = -mp.mpf(e_w) * gamma0
+        catalog = _one_line(e0, gamma0, e_min, hbar)
+        if want >= _MAX:
+            with pytest.raises(RangeOverflowError, match="line 'L'"):
+                observed_line_table(catalog, frame, t)
+        else:
+            e_inf = observed_line_table(catalog, frame, t)["e_inf"][0]
+            assert _rescaled(e_min - mp.mpf(e_inf), want, floor)
 
 
 def test_asymptotic_energy_relaxes_to_threshold():
