@@ -293,10 +293,10 @@ def cmd_crossover(cfg: RunConfig) -> int:
 def _default_age(catalog) -> float:
     """50 times the latest crossover time: comfortably past every line's."""
     columns = catalog.resolved_columns()
+    e0, gamma0, e_min, hbar = columns
     try:
-        return 50.0 * float(crossover_times(*columns).max())
+        ages = crossover_times(*columns)
     except DomainError:
-        e0, gamma0, e_min, _ = columns
         x = (e0 - e_min) / gamma0
         k = int(np.argmin((x >= 1.0) & (x < np.inf)))
         raise ConfigError(
@@ -304,6 +304,16 @@ def _default_age(catalog) -> float:
             "needs every line's crossover time, which requires a finite "
             "x >= 1; set the age with --t-stop (or sweep.t_stop)"
         ) from None
+    k = int(np.argmax(ages))
+    age = 50.0 * float(ages[k])
+    if not 0.0 < age < np.inf:
+        raise ConfigError(
+            f"line {catalog.ids[k]!r} has the latest crossover time, but at "
+            f"hbar = {hbar[k]:g} and gamma0 = {gamma0[k]:g} the default age, "
+            f"50 times it, is {age:g}, out of the double range; set the age "
+            "with --t-stop (or sweep.t_stop)"
+        )
+    return age
 
 
 def cmd_redshift(cfg: RunConfig) -> int:

@@ -76,20 +76,27 @@ def _relaxation(e0, gamma0, e_min):
     return g if np.ndim(g) else float(g)
 
 
-def _late_time_energy(e0, gamma0, e_min, hbar, t):
-    """Late-time energy e_min - 2 g (hbar/t)^2 of scalars or arrays alike.
+def _relaxation_shift(g, hbar, t):
+    """2 g (hbar/t)^2, the late-time energy's fall below e_min, of scalars
+    or arrays alike.
 
     Where hbar/t is in (1e-150, 1e150) the square is libm pow, as Python's
     float ** 2 takes it (ndarray ** 2 multiplies, which differs in the last
-    bit for ~0.1% of arguments); outside it is (g hbar/t) hbar/t, which
+    bit for ~0.1% of arguments); outside it is (2 g hbar/t) hbar/t, which
     stays in range wherever the product does.  A result out of the double
     range is returned as it comes, for the caller to refuse."""
     ht = np.divide(hbar, t)
-    g2 = 2.0 * _relaxation(e0, gamma0, e_min)
     plain = (ht > 1e-150) & (ht < 1e150)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        e = e_min - np.where(plain, g2 * np.float_power(ht, 2), g2 * ht * ht)
-    return e if np.ndim(e) else float(e)
+        g2 = np.multiply(2.0, g)
+        s = np.where(plain, g2 * np.float_power(ht, 2), g2 * ht * ht)
+    return s if np.ndim(s) else float(s)
+
+
+def _late_time_energy(e0, gamma0, e_min, hbar, t):
+    """Late-time energy e_min - 2 g (hbar/t)^2 of scalars or arrays alike."""
+    with np.errstate(over="ignore"):
+        return e_min - _relaxation_shift(_relaxation(e0, gamma0, e_min), hbar, t)
 
 
 def _norm_from_ratio(x: float) -> float:

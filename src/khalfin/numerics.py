@@ -31,11 +31,11 @@ _EPS = np.finfo(float).eps
 # ---------------------------------------------------------------------------
 #
 # Every E1 routine takes a complex scalar or an array.  An array is
-# flattened, each algorithm branch runs once over its own elements, and
-# iterative branches retire each element as it converges, so an element's
-# value never depends on the rest of the array.  In-place complex
-# multiplication is avoided: NumPy rounds `x *= y` differently for one
-# element than for several.
+# flattened and each branch runs once over its own elements, the series
+# and the continued fraction for a fixed number of steps set by the
+# element's |z| band, so an element's value never depends on the rest of
+# the array.  In-place complex multiplication is avoided: NumPy rounds
+# `x *= y` differently for one element than for several.
 
 def _flat(x, dtype):
     """x as a flat array of dtype, and the shape to restore with _unflat."""
@@ -67,70 +67,67 @@ def _e1_args(z):
     return zz, shape
 
 
-def _e1_series(z: np.ndarray) -> np.ndarray:
-    """Power series around 0 (unscaled E1), for |z| < 40 with
-    |z| + Re z <= 4.
+# Steps per |z| band (band i: tops[i-1] <= |z| < tops[i]; the last is open
+# above), derived and checked by scripts/e1_bands.py.  Series: the first k
+# with |z|^k/(k k!) < 1e-20 at the band's top.  Continued fraction: the
+# least depth within 2^-54 of e^z E1(z) on the band's inner circle, where
+# its truncation error is largest (beside the cut).
+_SERIES_TOPS = np.array([0.5, 2.0, 4.0, 8.0, 16.0])
+_SERIES_TERMS = np.array([17, 26, 35, 49, 74, 142])
+_CF_TOPS = np.array([4.0, 8.0, 16.0, 40.0, 100.0, 1e3, 2e4])
+_CF_DEPTHS = np.array([55, 51, 44, 30, 12, 5, 2, 1])
 
-    E1(z) = -euler_gamma - ln z + sum_{k>=1} (-1)^{k+1} z^k / (k * k!)
+# c_k = (-1)^{k+1}/(k k!), correctly rounded, for k = 0..142 (c_0 = 0)
+_SERIES_COEFFS = np.array([0.0] + [(-1) ** (k + 1) / (k * math.factorial(k))
+                                   for k in range(1, _SERIES_TERMS[-1] + 1)])
+
+
+def _backward(z, tops, counts, start, step):
+    """v = step(v, z, k) for k = n..1 from v = start(z, n), on each element
+    of z with n the count of its band (tops, counts).  The elements are
+    sorted by n, largest first, so step k updates the prefix with n >= k."""
+    n = counts[np.searchsorted(tops, np.abs(z), side="right")]
+    order = np.argsort(-n, kind="stable")
+    zs, n = z[order], n[order]
+    at_least = np.searchsorted(-n, -np.arange(counts.max() + 1), side="right")
+    v = start(zs, n)
+    for k in range(counts.max(), 0, -1):
+        m = at_least[k]
+        if m:
+            v[:m] = step(v[:m], zs[:m], k)
+    out = np.empty_like(v)
+    out[order] = v
+    return out
+
+
+def _e1_series(z: np.ndarray) -> np.ndarray:
+    """Power series around 0 (unscaled E1), for |z| < 40 with |z| + Re z
+    <= 4: -euler_gamma - ln z + p, where p = sum_{k=1}^{n} c_k z^k with
+    c_k = (-1)^{k+1}/(k * k!), by Horner: p = c_n, then p = p z + c_{k-1}
+    for k = n..1 (c_0 = 0).
 
     The terms sum to about e^{|z|}/|z| in magnitude and E1 is about
     e^{-Re z}/|z|, so cancellation costs a factor e^{|z| + Re z}: at most
     e^4 here, where at z = 6 it would cost 5e-12.  Beside the branch cut
     (Re z < 0, |Im z| small) the terms share nearly one phase and the
-    series is accurate out to |z| = 40.  An element that has converged
-    gets zero terms from then on, which leave its sum unchanged.
+    series is accurate out to |z| = 40.
     """
-    s = -EULER_GAMMA - np.log(z)
-    u = np.ones_like(z)  # z^k / k!
-    for k in range(1, 200):
-        u = u * (z / k)
-        s = s + (u / k if k % 2 else -u / k)
-        done = np.abs(u) / k < 1e-20
-        if done.all():
-            return s
-        u = np.where(done, 0.0, u)
-    raise ConvergenceError("E1 power series did not converge")
+    c = _SERIES_COEFFS
+    p = _backward(z, _SERIES_TOPS, _SERIES_TERMS,
+                  lambda z, n: c[n].astype(complex),
+                  lambda p, z, k: p * z + c[k - 1])
+    return -EULER_GAMMA - np.log(z) + p
 
 
-def _e1_cf_scaled(z: np.ndarray, max_iter: int = 600) -> np.ndarray:
-    """Modified Lentz continued fraction for e^z E1(z).
-
-    e^z E1(z) = 1 / (z + 1 - 1/(z + 3 - 4/(z + 5 - 9/(...))))
-    Converges off the branch cut, slowly near it; used where neither
-    series applies (|z| + Re z > 4, or |z| >= 40 with |Im z| >= 6), which
-    keeps it under ~60 steps.  Only the elements still short of
-    convergence are iterated.
-    """
-    tiny = 1e-300
-    out = np.empty_like(z)
-    idx = np.arange(z.size)
-    f = z + 1.0
-    f[f == 0] = tiny
-    c = f.copy()
-    d = np.zeros_like(z)
-    for k in range(1, max_iter):
-        if idx.size == 0:
-            return out
-        a = -float(k * k)
-        b = z + (2 * k + 1)
-        d = b + a * d
-        d[d == 0] = tiny
-        c = b + a / c
-        c[c == 0] = tiny
-        d = 1.0 / d
-        delta = c * d
-        f = f * delta
-        # delta = c * d carries a few eps of rounding, so at large |z| it
-        # settles at 1 + eps (plus a tiny imaginary part), not at 1: a
-        # bound at or below eps then stalls until max_iter
-        done = np.abs(delta - 1.0) < 2.0 * _EPS
-        if done.any():
-            out[idx[done]] = 1.0 / f[done]
-            keep = ~done
-            idx, z, f, c, d = idx[keep], z[keep], f[keep], c[keep], d[keep]
-    if idx.size:
-        raise ConvergenceError("E1 continued fraction did not converge")
-    return out
+def _e1_cf_scaled(z: np.ndarray) -> np.ndarray:
+    """Continued fraction e^z E1(z) = 1/(z + 1 - 1/(z + 3 - 4/(z + 5 - ...))),
+    where neither series applies (|z| + Re z > 4, or |z| >= 40 with
+    |Im z| >= 6), at depth n: f = z + 2n + 1, then f = (z + 2k - 1) - k^2/f
+    for k = n..1, and 1/f.  Off the cut each f keeps the sign of Im z (and
+    f > 0 on the positive axis), so no step divides by zero."""
+    return 1.0 / _backward(z, _CF_TOPS, _CF_DEPTHS,
+                           lambda z, n: z + (2 * n + 1),
+                           lambda f, z, k: (z + (2 * k - 1)) - k * k / f)
 
 
 def _e1(z: np.ndarray, scaled: bool) -> np.ndarray:
@@ -148,8 +145,9 @@ def _e1(z: np.ndarray, scaled: bool) -> np.ndarray:
         out[cf] = _e1_cf_scaled(z[cf])
     if asym.any():
         # for |z| >= 40 the terms fall up to k = 39: the series stops at
-        # about its smallest term, about e^{-40} of the sum
-        out[asym] = _e1s_asym_terms(z[asym], 39).sum(axis=0)
+        # about its smallest term, about e^{-40} of the sum; cumsum adds
+        # them in order, where sum(axis=0) adds a lone element's pairwise
+        out[asym] = np.cumsum(_e1s_asym_terms(z[asym], 39), axis=0)[-1]
     if not scaled:
         out[~series] = out[~series] * np.exp(-z[~series])
     return out

@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .crossover import crossover_roots
-from .density import ResonanceParams, _late_time_energy, _relaxation
+from .density import (ResonanceParams, _late_time_energy, _relaxation,
+                      _relaxation_shift)
 from .errors import CatalogError, DomainError, RangeOverflowError
 
 _EMIN_RTOL = 1e-12
@@ -236,10 +237,9 @@ def energy_difference_asymptotic(l1: SpectralLine, l2: SpectralLine,
     if t <= 0:
         raise DomainError("t must be > 0")
     _require_common_e_min(l1, l2)
-    hbar = l1.params.hbar
     g1 = relaxation_coefficient(l1)
     g2 = relaxation_coefficient(l2)
-    return -2.0 * (g1 - g2) * (hbar / t) ** 2
+    return -_relaxation_shift(g1 - g2, l1.params.hbar, t)
 
 
 def ratio_diagnostic(l1: SpectralLine, l2: SpectralLine,

@@ -275,6 +275,27 @@ def test_redshift_refuses_an_energy_out_of_range(capsys, tmp_path):
     assert status == EXIT_OK
 
 
+@pytest.mark.parametrize("line, hbar, age, t_stop", [
+    # s hbar/gamma0 underflowed to 0, and the error spoke of "t must be > 0"
+    ("A,1e302,1e300", "1e-290", "is 0,", "1e-300"),
+    # it overflowed to inf, and e_inf read e_min exactly
+    ("A,1e-298,1e-300", "1e290", "is inf,", "1e300"),
+], ids=["underflow", "overflow"])
+def test_redshift_default_age_out_of_range_is_a_config_error(
+        capsys, tmp_path, line, hbar, age, t_stop):
+    cat = tmp_path / "cat.csv"
+    cat.write_text(f"id,e0,gamma0\n{line}\n")
+    status, out, err = run(capsys, "redshift", "--catalog", str(cat),
+                           "--hbar", hbar)
+    assert status == EXIT_CONFIG and out == ""
+    assert err.startswith("error: line 'A' has the latest crossover time")
+    assert age in err and "--t-stop" in err
+    # the remedy it names works
+    status, out, _ = run(capsys, "redshift", "--catalog", str(cat), "--hbar",
+                         hbar, "--t-start", "1e-301", "--t-stop", t_stop)
+    assert status == EXIT_OK and float(out.splitlines()[1].split(",")[2]) < 0
+
+
 def test_parser_error_leaves_no_state(capsys):
     # the parser is built once per process; a failed parse must not
     # change what a later valid call prints

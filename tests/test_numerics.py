@@ -14,7 +14,15 @@ from khalfin import (
     lambert_w,
 )
 from khalfin.errors import ConvergenceError, DomainError, RangeOverflowError
-from khalfin.numerics import _e1s_asym_terms, _integrate_pieces
+from khalfin.numerics import (
+    _CF_DEPTHS,
+    _CF_TOPS,
+    _SERIES_TOPS,
+    _e1s_asym_terms,
+    _integrate_pieces,
+)
+
+EPS = 2.0 ** -52
 
 
 def e1_oracle(z: complex) -> complex:
@@ -185,6 +193,89 @@ def test_e1_asymptotic_truncation():
         _e1s_asym_terms(zs[k:k + 1], 8)[:, 0].tolist() for k in range(zs.size)]
     # no power of z is formed, so no term overflows at large |z|
     assert np.isfinite(_e1s_asym_terms(zs, 8)).all()
+
+
+# every |z| band edge of the series and the continued fraction, and the
+# series' outer edge; each is taken exactly and one ulp either side
+_E1_EDGES = sorted({*_SERIES_TOPS.tolist(), *_CF_TOPS.tolist(), 40.0})
+
+
+@st.composite
+def _e1_band_edge(draw):
+    """A z with |z| (as NumPy computes it) an edge or one ulp beside it: on
+    the positive real or the imaginary axis, or just off the cut, where
+    |z| + Re z = 0.  Together these reach every edge of every branch."""
+    edge = draw(st.sampled_from(_E1_EDGES))
+    r = draw(st.sampled_from([math.nextafter(edge, 0.0), edge,
+                              math.nextafter(edge, math.inf)]))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    return draw(st.sampled_from([complex(r, 0.0), complex(0.0, sign * r),
+                                 complex(-r, sign * 1e-9 * r)]))
+
+
+_E1_POINTS = st.one_of(
+    # the whole plane, |z| from 1e-3 to 1e13: the series and the fraction
+    st.builds(cmath.rect, st.floats(-3.0, 13.0).map(lambda u: 10.0 ** u),
+              st.floats(-math.pi, math.pi)),
+    # beside the cut at |Im z| = 6, the asymptotic series' edge for |z| >= 40
+    st.builds(complex, st.floats(-3.0, 13.0).map(lambda u: -(10.0 ** u)),
+              st.sampled_from([math.nextafter(6.0, 0.0), 6.0,
+                               math.nextafter(6.0, 7.0)])
+              .flatmap(lambda y: st.sampled_from([y, -y]))),
+    _e1_band_edge(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_E1_POINTS)
+def test_scaled_e1_relative_error_is_a_few_eps(z):
+    # a few eps everywhere, times the series' cancellation e^{|z| + Re z}
+    # (at most e^4) where the series runs
+    r = abs(z)
+    series = r + z.real <= 4.0 and r < 40.0
+    tol = 8.0 * EPS * (math.exp(r + z.real) if series else 1.0)
+    with mp.workdps(40):
+        ref = complex(mp.exp(mp.mpc(z)) * mp.e1(mp.mpc(z)))
+    assert abs(exp_integral_e1_scaled(z) - ref) <= tol * abs(ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_E1_POINTS, min_size=1, max_size=40))
+def test_e1_array_of_mixed_bands_equals_scalar_calls(zs):
+    zs = np.array(zs)
+    assert exp_integral_e1_scaled(zs).tolist() == [
+        exp_integral_e1_scaled(complex(z)) for z in zs]
+    plain = zs[zs.real >= -700.0]
+    assert exp_integral_e1(plain).tolist() == [exp_integral_e1(complex(z))
+                                               for z in plain]
+
+
+def _cf_edge_beside_the_cut(r: float) -> complex:
+    """The continued fraction's point on |z| = r (just above it at r = 2)
+    nearest the cut: on the series' edge |z| + Re z = 4 below |z| = 40,
+    at Im z = 6 above."""
+    r = math.nextafter(r, math.inf)
+    if r < 40.0:
+        z = complex(4.0 - r, math.sqrt(8.0 * (r - 2.0)))
+        while abs(z) + z.real <= 4.0:
+            z = complex(z.real + math.ulp(r), z.imag)
+        return z
+    return complex(-math.sqrt(r * r - 36.0), 6.0)
+
+
+@pytest.mark.parametrize("low, depth", zip([2.0, *_CF_TOPS], _CF_DEPTHS))
+def test_cf_depth_truncates_within_a_quarter_eps(low, depth):
+    # the fraction truncated at its band's depth, in 50-digit arithmetic,
+    # at the band's worst point (scripts/e1_bands.py scans the whole inner
+    # circle) and on the positive real axis
+    for z in (_cf_edge_beside_the_cut(low), complex(math.nextafter(low, 5e4))):
+        with mp.workdps(50):
+            zz = mp.mpc(z)
+            f = zz + 2 * depth + 1
+            for k in range(depth, 0, -1):
+                f = zz + 2 * k - 1 - k * k / f
+            ref = mp.exp(zz) * mp.e1(zz)
+            assert abs(1 / f - ref) <= EPS / 4 * abs(ref), z
 
 
 # ---------------------------------------------------------------------------

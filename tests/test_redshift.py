@@ -202,6 +202,18 @@ def test_energy_difference_scales_as_inverse_square_time():
     assert abs(d1 / d2 - 4.0) <= 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e-198, 1e202])
+def test_energy_difference_rescales_with_the_lines(scale):
+    # (hbar/t)^2 as a Python float: at 1e-198 it underflowed and the
+    # difference read -0.0; at 1e202 it raised OverflowError
+    unit = energy_difference_asymptotic(_line("A", 1.0, 0.01),
+                                        _line("B", 2.0, 0.02), 1.44e4)
+    got = energy_difference_asymptotic(_line("A", scale, 0.01 * scale),
+                                       _line("B", 2.0 * scale, 0.02 * scale),
+                                       1.44e4 / scale)
+    assert got == pytest.approx(unit * scale, rel=1e-14, abs=0.0)
+
+
 def test_energy_difference_requires_common_threshold():
     l1 = _line("a", 2.0, 0.02, e_min=0.0)
     l2 = _line("b", 3.0, 0.02, e_min=0.5)
