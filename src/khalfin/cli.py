@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import warnings
 from collections import namedtuple
@@ -330,6 +331,12 @@ def cmd_redshift(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+# argparse takes an argument for a value rather than an option when it
+# matches this; its own pattern (^-\d+$|^-\d*\.\d+$ through Python 3.12)
+# has no exponent, so "--emin -1e3" found no value
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="khalfin",
@@ -340,6 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument("--config")
         for param in (q for q in _PARAMS if q.only in (None, name)):
             for flag, parse in param.flags.items():

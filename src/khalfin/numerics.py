@@ -1,18 +1,17 @@
 """Special-function and quadrature kernel.
 
 Provides the complex exponential integral E1 (plain and overflow-safe
-scaled form e^z E1(z)), the real-branch Lambert W function, and a
-piecewise QUADPACK (QAGS) sum for the smooth, non-oscillating integrals
-of the quadrature route.
+scaled form e^z E1(z)), the real-branch Lambert W function, and an
+adaptive Gauss-Kronrod rule that integrates arrays of panels in one array
+pass per bisection level, for the quadrature route.
 
 All functions here are pure; nothing holds mutable state.
 """
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
-import warnings
 
 import numpy as np
 
@@ -269,44 +268,114 @@ def lambert_w(branch: int, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# piecewise quadrature
+# adaptive Gauss-Kronrod quadrature over arrays of panels
 # ---------------------------------------------------------------------------
 
-# QAGS targets per piece (Piessens et al., QUADPACK, 1983); a warned
-# result is kept if its summed error estimate is within _ACCEPT_REL |value|
-_QUADPACK = dict(limit=200, epsabs=0.0, epsrel=1e-13)
-_ACCEPT_REL = 1e-10
+@functools.cache
+def _gauss_kronrod(n: int):
+    """(nodes, weights, null weights) of the (2n + 1)-point Gauss-Kronrod
+    rule on [-1, 1].  The nodes are the n Gauss-Legendre nodes and the
+    n + 1 roots of the Stieltjes polynomial E, orthogonal to every
+    polynomial of degree <= n under the weight P_n (Monegato, SIAM Rev. 24
+    (1982) 137); the weights make the rule exact to degree 2n, and so, by
+    the choice of nodes, to 3n + 1.  The null weights, Kronrod minus Gauss
+    (zero at the Kronrod-only nodes), give the Gauss rule's error.  Built
+    on the first call, so that a run without quadrature does not pay for
+    it or for importing numpy.polynomial."""
+    from numpy.polynomial import legendre as leg
+
+    xg, wg = leg.leggauss(n)
+    xq, wq = leg.leggauss(2 * n + 2)   # exact for the degree-(3n + 1) products
+    p = leg.legvander(xq, n + 1)
+    # E = P_{n+1} + sum_j c_j P_j over j of the parity of n + 1; the
+    # conditions of odd degree k hold by parity, the rest fix the c_j
+    js, ks = np.arange((n + 1) % 2, n, 2), np.arange(1, n + 1, 2)
+    triple = np.einsum("q,q,qj,qk->kj", wq, p[:, n], p, p)
+    c = np.zeros(n + 2)
+    c[n + 1] = 1.0
+    c[js] = np.linalg.solve(triple[np.ix_(ks, js)], -triple[ks, n + 1])
+    x = np.sort(np.concatenate([xg, leg.legroots(c)]))
+    moments = np.zeros(2 * n + 1)
+    moments[0] = 2.0
+    w = np.linalg.solve(leg.legvander(x, 2 * n).T, moments)
+    gauss = np.zeros_like(w)
+    gauss[1::2] = wg
+    rule = x, w, w - gauss
+    for a in rule:   # every caller shares them
+        a.flags.writeable = False
+    return rule
 
 
-def quad(func, a, b, **kwargs):
-    """scipy.integrate.quad, imported on the first call: importing SciPy
-    takes longer than the rest of a closed-form run, and only the
-    quadrature route integrates."""
-    from scipy.integrate import quad as scipy_quad
+# 31 points: a panel's error estimate is the 15-point Gauss rule's error,
+# far above that of the 31-point rule whose value is kept
+_GAUSS_POINTS = 15
+_PANEL_REL = 1e-14    # a panel's target, relative to the first pass's sum of |panel|
+_ROUNDING = 50 * _EPS  # least estimate, relative to the integral of |f| (as QUADPACK)
+_PASSES = 30          # bisection levels
+_PANEL_LIMIT = 200    # panels per point
+_ACCEPT_REL = 1e-10   # a point's summed estimate is accepted up to this of |value|
 
-    return scipy_quad(func, a, b, **kwargs)
 
+def quad(f, lo, hi, point, npoints: int):
+    """Adaptive Gauss-Kronrod sums: (value, error estimate), two arrays of
+    length npoints, where value[i] sums the integrals of f over the panels
+    [lo[j], hi[j]] with point[j] == i.
 
-def _integrate_pieces(pieces):
-    """(value, summed error estimate) of the sum over (f, knots) in pieces
-    of the integrals of f between consecutive knots, by QAGS on the real
-    and imaginary parts of f (a float to a complex or real float).
+    f(u, j) takes abscissae u of shape (m, 31), row r in panel j[r] (or a
+    part of it), and returns f there as an array of the same shape.  Every
+    panel runs through the rule in one array pass.  A panel whose Gauss
+    minus Kronrod difference exceeds _PANEL_REL of its point's sum of
+    |panel| is bisected, and its halves run in the next pass, for at most
+    _PASSES passes and _PANEL_LIMIT panels per point.  A panel's error
+    estimate is that difference, but at least _ROUNDING times the integral
+    of |f| over it.  Each point's panels are summed in a fixed order, so
+    its value never depends on the other points.
 
-    Raises ConvergenceError when the value or error is not finite, or
-    QUADPACK warned and the error exceeds 1e-10 of the whole value.
+    Raises ConvergenceError when f is not finite, or a point's summed
+    estimate is not within _ACCEPT_REL of its |value|.
     """
-    from scipy.integrate import IntegrationWarning
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", IntegrationWarning)
-        parts = [[quad(lambda u: part(f(u)), a, b, **_QUADPACK)
-                  for f, knots in pieces for a, b in zip(knots, knots[1:])]
-                 for part in (lambda z: z.real, lambda z: z.imag)]
-    value = complex(*(math.fsum(v for v, _ in p) for p in parts))
-    err = math.fsum(e for p in parts for _, e in p)
-    accepted = cmath.isfinite(value) and math.isfinite(err) and (
-        not caught or err <= _ACCEPT_REL * abs(value))
-    if not accepted:
-        raise ConvergenceError(f"quadrature: value {value} with error "
-                               f"estimate {err:g} not accepted")
-    return value, err
+    nodes, weights, null_weights = _gauss_kronrod(_GAUSS_POINTS)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    point = np.asarray(point)
+    panel = np.arange(lo.size)
+    panels = np.bincount(point, minlength=npoints)
+    kept = []        # (point, value, estimate) of the panels each pass keeps
+    for level in range(_PASSES):
+        half = 0.5 * (hi - lo)
+        mid = lo + half
+        fu = f(mid[:, None] + half[:, None] * nodes, panel)
+        resabs = (np.abs(fu) * weights).sum(axis=1)
+        if not np.isfinite(resabs).all():
+            k = np.flatnonzero(~np.isfinite(resabs))[0]
+            raise ConvergenceError(f"quadrature: the integrand is not finite on "
+                                   f"[{lo[k]:g}, {hi[k]:g}]")
+        value = half * (fu * weights).sum(axis=1)
+        gap = half * np.abs((fu * null_weights).sum(axis=1))
+        est = np.maximum(gap, _ROUNDING * half * resabs)
+        if not level:
+            target = _PANEL_REL * np.bincount(point, np.abs(value), npoints)
+        split = gap > target[point]
+        if level + 1 == _PASSES or not split.any():
+            kept.append((point, value, est))
+            break
+        grown = panels + np.bincount(point[split], minlength=npoints)
+        split &= grown[point] <= _PANEL_LIMIT
+        panels = np.where(grown <= _PANEL_LIMIT, grown, panels)
+        keep = ~split
+        kept.append((point[keep], value[keep], est[keep]))
+        lo, mid, hi = lo[split], mid[split], hi[split]
+        lo, hi = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
+        panel, point = np.repeat(panel[split], 2), np.repeat(point[split], 2)
+    if len(kept) > 1:
+        point, value, est = map(np.concatenate, zip(*kept))
+    # bincount adds each point's panels in array order: the order of the
+    # passes that kept them, then of the panels within a pass
+    total = _complex(np.bincount(point, value.real, npoints),
+                     np.bincount(point, value.imag, npoints))
+    err = np.bincount(point, est, npoints)
+    accepted = err <= _ACCEPT_REL * np.abs(total)
+    if not accepted.all():
+        k = np.flatnonzero(~accepted)[0]
+        raise ConvergenceError(f"quadrature: value {total[k]} with error "
+                               f"estimate {err[k]:g} not accepted")
+    return total, err

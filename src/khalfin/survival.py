@@ -16,7 +16,6 @@ z1 = v - i u, z2 = -v - i u and E1s(z) = e^z E1(z).
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -30,9 +29,9 @@ from .numerics import (
     _e1s_asym_terms,
     _EPS,
     _flat,
-    _integrate_pieces,
     _unflat,
     exp_integral_e1_scaled,
+    quad,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -137,56 +136,115 @@ def amplitude_closed_form(d: NormalizedDensity, t) -> AmplitudeSample:
     return _sample(Route.CLOSED_FORM, tt, shape, value, est)
 
 
-def _rotated(xs: float, lo: float, hi: float, decay: float) -> complex:
-    """e^{-decay} / ((xs + i lo)(xs + i hi)); neither factor cancels."""
-    return math.exp(-decay) / (complex(xs, lo) * complex(xs, hi))
+# initial knots of the rotated integral: 8 steps of equal ratio in s over
+# the tail, from the e^{-k/s} layer's edge to s = 1, and where e^{-k w}
+# reaches e^{-10}, e^{-20} and e^{-40} (the cut-off, at w = 40/k)
+_TAIL_STEPS = np.linspace(1.0, 0.0, 9)
+_DECAY_KNOTS = np.array([0.25, 0.5, 1.0])
 
 
-def _span(knots, lo: float, hi: float) -> list:
-    """[lo, the knots between lo and hi, hi], or [] unless lo < hi."""
-    return sorted({lo, hi, *(c for c in knots if lo < c < hi)}) if lo < hi else []
+def _panels(pole_knots, c_from: float, k: np.ndarray, cut: np.ndarray):
+    """(lo, hi, point, piece) of the panels of each point: at most 15 per
+    point whatever x, as empty ones are dropped.  Piece 2 is in s = 1/w,
+    from s = max(k, eps)/40 to 1: below s = k/40 the integrand is under
+    e^{-40}, and below s = eps/40 the tail holds under eps/40 of the
+    integral.  Pieces 0 (w) and 1 (from w = c_from on) end at w = 1 or at
+    the cut-off, and have knots at the pole_knots and on the decay.  A
+    point's knots are its 9 in s, ending at 1, then those in w, from 0: a
+    panel that runs backwards, as between the two or on the whole tail
+    when k > 40, is dropped too."""
+    knots = np.empty((k.size, 12 + len(pole_knots)))
+    knots[:, :9] = np.power.outer(np.maximum(k, _EPS) / 40.0, _TAIL_STEPS)
+    w = knots[:, 9:]
+    w[:, :-3] = pole_knots
+    w[:, -3:] = np.multiply.outer(cut, _DECAY_KNOTS)
+    np.minimum(w, np.minimum(1.0, cut)[:, None], out=w)
+    w.sort(axis=1)
+    lo, hi = knots[:, :-1].ravel(), knots[:, 1:].ravel()
+    keep = np.flatnonzero(lo < hi)
+    lo, hi = lo[keep], hi[keep]
+    point, slot = np.divmod(keep, knots.shape[1] - 1)
+    return lo, hi, point, np.where(slot < 8, 2, lo >= c_from)
 
 
-def _quadrature(d: NormalizedDensity, t: float):
-    """(a(t), est_error) of the quadrature route at one t >= 0; NaN, which
-    _sample refuses, where the phase arguments overflow."""
+def _quadrature(d: NormalizedDensity, t: np.ndarray):
+    """(a(t), est_error) of the quadrature route on a flat array of t >= 0,
+    from one call of numerics.quad; NaN, which _sample refuses, where the
+    phase arguments overflow."""
     p = d.params
     u, v = _phase_args(d, t)
     phase = p.e_min * t / p.hbar
-    if not math.isfinite(u + v + phase):
-        return math.nan, math.nan
-    # y in units of y0 = 1 + x, so that nothing overflows: w = y/y0 on [0, h/2],
-    # then c = w - h, exact beside the near-pole of width xs at w = h, up to
-    # w = 1, and s = 1/w on (0, 1]; cut off where e^{-k w} < e^{-40}
+    ok = np.isfinite(u + v + phase)
+    if not ok.all():
+        value, est = np.full(t.size, np.nan, dtype=complex), np.full(t.size, np.nan)
+        value[ok], est[ok] = _quadrature(d, t[ok])
+        return value, est
+    # y in units of y0 = 1 + x, so that nothing overflows: w = y/y0 on
+    # [0, 1], with the pole of width xs at w = h, and s = 1/w on (0, 1].
+    # In its variable u, each piece's integrand is
+    # e^{n0 + n1 u + n2/u} / ((a0 + a1 u)(b0 + b1 u)):
+    #   w: e^{-k w} / ((xs + i(w - h)) (xs + i(w + h)))
+    #   c: e^{-k(c + h)} / ((xs + i c) (xs + i(c + 2h)))
+    #   s: e^{-k/s} / ((xs s + i(1 - h s)) (xs s + i(1 + h s)))
     y0 = 1.0 + p.x
-    xs, h, k = p.x / y0, 0.5 / y0, 2.0 * v * y0
-    end = min(1.0, 40.0 / k) if k > 0 else 1.0
-    near_pole, g = [0.0], xs  # graded knots about the near-pole
-    while 0.0 < g < 0.5 * h:
-        near_pole += [-g, g]
-        g *= 16.0
-    # graded knots above the e^{-k/s} layer; below s = eps/40 the tail
-    # holds under eps/40 of the integral
-    layer, g = [], max(k, _EPS) / 40.0
-    while g < 1.0:
-        layer.append(g)
-        g *= 16.0
-    j, err = _integrate_pieces([
-        (lambda w: _rotated(xs, w - h, w + h, k * w), [0.0, min(0.5 * h, end)]),
-        (lambda c: _rotated(xs, c, c + 2.0 * h, k * (c + h)),
-         _span(near_pole, -0.5 * h, end - h)),
-        (lambda s: _rotated(xs * s, 1.0 - h * s, 1.0 + h * s, k / s),
-         _span(layer, k / 40.0, 1.0)),
-    ])
+    xs, h = p.x / y0, 0.5 / y0
+    k = v * (2.0 * y0)
+    cut = 40.0 / np.maximum(k, 1e-300)
+    subtract = xs < h
+    if subtract:
+        # a pole narrower than its distance 2h from the other one: from
+        # w = h/2 on, c = w - h is exact beside it, and knots sit at it
+        # and at its width beyond it
+        lo, hi, point, piece = _panels([0.0, 0.5 * h, h, h + xs, 1.0], 0.5 * h, k, cut)
+    else:
+        # knots at the pole and, while its width xs is at most 1/2, at its
+        # width beyond it; a wider pole is far enough from [h, 1] for one
+        # panel there
+        lo, hi, point, piece = _panels([0.0, h, h + xs if xs <= 0.5 else 1.0, 1.0],
+                                       np.inf, k, cut)
+    # per panel: (a0, a1, b0, b1, g), the subtracted g of the c piece below,
+    # and (n0, n1, n2), of the rows w, c and s
+    linear = np.array([[xs - 1j * h, 1j, xs + 1j * h, 1j, 0.0],
+                       [xs, 1j, xs + 2j * h, 1j, 0.0],
+                       [1j, xs - 1j * h, 1j, xs + 1j * h, 0.0]])[piece]
+    expo = np.array([[0.0, -1.0, 0.0], [-h, -1.0, 0.0], [0.0, 0.0, -1.0]])[piece]
+    expo *= k[point, None]
+    unit_pole = np.exp(-(v + 1j * u))
     scale = d.norm_n / (TWO_PI * y0)
-    pole = d.norm_n * cmath.exp(complex(-v, -u))
-    below = -1j * scale * j
-    value = (pole + below) * cmath.exp(complex(0.0, -phase))
-    # rounding floor: the pole term's exponent -v - iu (three roundings, as
-    # in the closed form), the threshold phase (two) and a few ulps of each
-    floor = _EPS * (1.5 * abs(complex(v, u)) * abs(pole) + abs(phase) * abs(value)
-                    + 8.0 * (abs(pole) + abs(below)))
-    return value, scale * err + floor
+    pole = d.norm_n * unit_pole
+    pole_size = np.abs(pole)
+    phased = pole_size   # the size of the terms that carry the phase e^{-iu}
+    closed = 0.0
+    if subtract:
+        # the c piece integrates (e^{-k(c + h)}/(xs + i(c + 2h)) - g0)/(xs + i c),
+        # where g0 = e^{-v - iu}/(2ih), the pole term's own exponential, is
+        # the numerator at the pole c = i xs; g0 ln(xs + i c)/i over the
+        # piece, [-h/2, min(1, cut) - h], is added in closed form
+        # (singularity subtraction: Davis & Rabinowitz, Methods of
+        # Numerical Integration, 2nd ed., 1984)
+        g0 = unit_pole / (2j * h)
+        c_piece = piece == 1
+        linear[c_piece, 4] = g0[point[c_piece]]
+        lo[c_piece] -= h
+        hi[c_piece] -= h
+        c1 = np.minimum(1.0, cut) - h
+        c0 = np.minimum(-0.5 * h, c1)
+        closed = (-1j * g0) * _complex(np.log(np.hypot(xs, c1) / np.hypot(xs, c0)),
+                                       np.arctan2(c1, xs) - np.arctan2(c0, xs))
+        phased = phased + scale * np.abs(closed)
+
+    def integrand(c, j):
+        a0, a1, b0, b1, g = linear[j].T[:, :, None]
+        n0, n1, n2 = expo[j].T[:, :, None]
+        return (np.exp(n0 + n1 * c + n2 / c) / (b0 + b1 * c) - g) / (a0 + a1 * c)
+
+    j, err = quad(integrand, lo, hi, point, k.size)
+    below = (-1j * scale) * (j + closed)
+    size = pole_size + np.abs(below)
+    # rounding floor: the exponent -v - iu (three roundings, as in the
+    # closed form), the threshold phase (two) and a few ulps of each term
+    floor = (1.5 * _EPS) * np.hypot(v, u) * phased + _EPS * (np.abs(phase) + 8.0) * size
+    return (pole + below) * np.exp(-1j * phase), scale * err + floor
 
 
 def amplitude_quadrature(d: NormalizedDensity, t) -> AmplitudeSample:
@@ -201,16 +259,14 @@ def amplitude_quadrature(d: NormalizedDensity, t) -> AmplitudeSample:
         a = N e^{-i x tau - tau/2}
             - (i N / 2 pi) int_0^inf e^{-tau y} / ((x + i y)^2 + 1/4) dy.
 
-    est_error is QUADPACK's error estimate plus the rounding floor.  t may
-    be a scalar or an array; each point is integrated on its own.
+    est_error is the Gauss-Kronrod error estimate plus the rounding floor.
+    t may be a scalar or an array; the whole array costs one call of
+    numerics.quad.
     """
     tt, shape = _flat(t, float)
     if np.any(tt < 0):
         raise DomainError("t must be >= 0")
-    rows = [_quadrature(d, s) for s in tt.tolist()]
-    value = np.array([a for a, _ in rows], dtype=complex)
-    est = np.array([e for _, e in rows], dtype=float)
-    return _sample(Route.QUADRATURE, tt, shape, value, est)
+    return _sample(Route.QUADRATURE, tt, shape, *_quadrature(d, tt))
 
 
 def amplitude_asymptotic(d: NormalizedDensity, t, order: int = 2) -> AmplitudeSample:

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from khalfin import ResonanceParams, SpectralLine, cli
-from khalfin.cli import EXIT_CONFIG, EXIT_OK, main
+from khalfin.cli import _PARAMS, EXIT_CONFIG, EXIT_OK, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -669,6 +669,10 @@ _route_lists = st.permutations(["closed_form", "quadrature", "asymptotic"]).flat
 @example(head=["amplitude", "--routes", "asymptotic,closed_form"],
          flags=[("--t-start", "1.5430181958531523e+250"),
                 ("--t-stop", "7.656585009598995e+250"), ("--points", "2")])
+# a pole of width x ~ 7e-289 on the quadrature route's path, on the
+# default 200 points
+@example(head=["amplitude", "--routes", "quadrature,asymptotic,closed_form"],
+         flags=[("--x", "6.850994355967992e-289")])
 # |pole - e_min|^2 underflows to 0
 @example(head=["hamiltonian"],
          flags=[("--gamma0", "1e-200"), ("--x", "100"), ("--t-start", "1e200"),
@@ -682,6 +686,19 @@ def test_sweep_fuzz_exits_0_2_or_3_with_finite_rows(tmp_path, head, flags):
     if status == EXIT_OK:
         for row in csv.DictReader(out.open()):
             assert all(math.isfinite(float(v)) for k, v in row.items() if k != "route")
+
+
+@pytest.mark.parametrize("value", ["-1e3", "-1e-3", "-2.5E+02"])
+@pytest.mark.parametrize("flag", [flag for p in _PARAMS
+                                  for flag, parse in p.flags.items() if parse is float])
+def test_negative_value_in_exponent_notation_is_read_as_a_value(capsys, flag, value):
+    # argparse's own pattern for a negative number has no exponent, so it
+    # took "-1e3" for an option and the flag exited 2 for want of a value
+    status = main(["crossover", flag, value])
+    spaced = capsys.readouterr()
+    assert status == main(["crossover", f"{flag}={value}"])
+    assert spaced == capsys.readouterr()
+    assert "expected one argument" not in spaced.err
 
 
 _CATALOG = "<catalog>"   # stands for the catalog's path in a config document
@@ -764,13 +781,13 @@ run("amplitude", "--x", "100", "--points", "20")
 run("hamiltonian", "--x", "100", "--t-start", "0.1", "--t-stop", "3000",
     "--fd-check")
 run("redshift", "--catalog", sys.argv[1])
-assert "scipy" not in sys.modules, "a closed-form run imported SciPy"
 run("amplitude", "--x", "100", "--points", "3", "--routes", "quadrature")
-assert "scipy.integrate" in sys.modules
+assert "scipy" not in sys.modules, "the CLI imported SciPy"
+assert "mpmath" not in sys.modules, "the CLI imported mpmath"
 """
 
 
-def test_scipy_is_imported_only_by_the_quadrature_route(demo_catalog_path):
+def test_the_cli_never_imports_scipy(demo_catalog_path):
     # a fresh interpreter, since this one has SciPy loaded by other tests
     src = pathlib.Path(cli.__file__).parents[1]
     proc = subprocess.run(

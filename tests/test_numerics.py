@@ -19,7 +19,8 @@ from khalfin.numerics import (
     _CF_TOPS,
     _SERIES_TOPS,
     _e1s_asym_terms,
-    _integrate_pieces,
+    _gauss_kronrod,
+    quad,
 )
 
 EPS = 2.0 ** -52
@@ -333,25 +334,51 @@ def test_lambert_domain_errors():
 
 
 # ---------------------------------------------------------------------------
-# piecewise quadrature
+# adaptive Gauss-Kronrod quadrature
 # ---------------------------------------------------------------------------
 
-def test_integrate_pieces_sums_complex_pieces():
+def test_gauss_kronrod_rule_is_exact_to_degree_3n_plus_1():
+    # 31 points: exact for x^j up to j = 46, the embedded 15-point Gauss
+    # rule up to j = 29; the null rule integrates those to 0
+    nodes, weights, null_weights = _gauss_kronrod(15)
+    moments = [2.0 / (j + 1) if j % 2 == 0 else 0.0 for j in range(47)]
+    assert nodes.size == 31 and np.all(np.diff(nodes) > 0)
+    for j, m in enumerate(moments):
+        assert abs(np.sum(weights * nodes ** j) - m) <= 4 * EPS
+        if j < 30:
+            assert abs(np.sum(null_weights * nodes ** j)) <= 4 * EPS
+    # the Gauss nodes are every other node, with numpy's Gauss weights
+    xg, wg = np.polynomial.legendre.leggauss(15)
+    assert np.allclose(nodes[1::2], xg, rtol=0, atol=4 * EPS)
+    assert np.allclose((weights - null_weights)[1::2], wg, rtol=0, atol=4 * EPS)
+    assert np.all((weights - null_weights)[::2] == 0.0)
+
+
+def _pieces(*fs):
+    """f(u, j) of quad that applies fs[j] to panel j's abscissae."""
+    return lambda u, j: np.stack([fs[i](row) for i, row in zip(j, u)]).astype(complex)
+
+
+def test_quad_sums_complex_pieces():
     # int_0^1 e^{iu} du = (e^i - 1)/i, split at a knot, plus int_1^2 u du
-    value, err = _integrate_pieces([(lambda u: cmath.exp(1j * u), [0.0, 0.3, 1.0]),
-                                    (lambda u: u, [1.0, 2.0]),
-                                    (math.exp, [])])
-    assert abs(value - ((cmath.exp(1j) - 1.0) / 1j + 1.5)) <= 1e-15
-    assert 0.0 <= err <= 1e-13
+    # for one point, and int_0^1 e^{iu} du alone for another
+    value, err = quad(_pieces(np.exp, lambda u: np.exp(1j * u), lambda u: np.exp(1j * u),
+                              lambda u: u),
+                      [0.0, 0.0, 0.3, 1.0], [1.0, 0.3, 1.0, 2.0], [0, 1, 1, 1], 3)
+    assert abs(value[1] - ((cmath.exp(1j) - 1.0) / 1j + 1.5)) <= 1e-15
+    assert abs(value[0] - (math.e - 1.0)) <= 1e-15
+    # a point with no panels sums to exactly 0
+    assert value[2] == 0.0 and err[2] == 0.0
+    assert np.all((0.0 <= err) & (err <= 1e-13))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
-def test_integrate_pieces_non_finite_integrand_raises(value):
+def test_quad_non_finite_integrand_raises(value):
     # the process must not crash; both fail as a ConvergenceError
     with pytest.raises(ConvergenceError, match="quadrature"):
-        _integrate_pieces([(lambda u: value, [0.0, 1.0])])
+        quad(lambda u, j: np.full(u.shape, value), [0.0], [1.0], [0], 1)
     with pytest.raises(ConvergenceError, match="quadrature"):
-        _integrate_pieces([(lambda u: complex(1.0, value), [0.0, 1.0])])
+        quad(lambda u, j: np.full(u.shape, complex(1.0, value)), [0.0], [1.0], [0], 1)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -359,13 +386,49 @@ def test_integrate_pieces_non_finite_integrand_raises(value):
 def test_oscillatory_non_finite_integrand_raises(value, freq):
     # a non-finite factor of an oscillatory integrand f(u) e^{-i freq u}, as
     # the quadrature route integrates it, fails as a ConvergenceError
+    def f(u, j):
+        with np.errstate(invalid="ignore"):   # inf times 1 + 0j is inf + nan j
+            return value * np.exp(-1j * freq * u)
+
     with pytest.raises(ConvergenceError, match="quadrature"):
-        _integrate_pieces([(lambda u: value * cmath.exp(-1j * freq * u),
-                            [0.0, 1.0, 2.0])])
+        quad(f, [0.0, 1.0], [1.0, 2.0], [0, 0], 1)
 
 
-def test_integrate_pieces_divergent_piece_raises():
-    # int_0^1 du/u diverges; QUADPACK warns and its error estimate is large
+def test_quad_divergent_piece_raises():
+    # int_0^1 du/u diverges: bisection toward 0 never meets the target, and
+    # the Gauss-Kronrod difference stays about its share of the sum
     with pytest.raises(ConvergenceError, match="quadrature"):
-        _integrate_pieces([(lambda u: math.exp(-u), [0.0, 1.0]),
-                           (lambda u: 1.0 / u, [0.0, 1.0])])
+        quad(_pieces(lambda u: np.exp(-u), lambda u: 1.0 / u), [0.0, 0.0], [1.0, 1.0],
+             [0, 0], 1)
+
+
+def test_quad_bisects_a_point_into_at_most_200_panels():
+    # e^{i 1e5 u} on [0, 1] would need thousands of panels: bisection
+    # stops before a point holds more than 200, and the estimate is refused
+    panels = []
+
+    def f(u, j):
+        panels.append(u.shape[0])
+        return np.exp(1e5j * u)
+
+    with pytest.raises(ConvergenceError, match="quadrature"):
+        quad(f, [0.0], [1.0], [0], 1)
+    assert 100 < max(panels) <= 200
+
+
+def test_quad_bisects_only_where_the_target_is_missed():
+    # e^{-40 u} on [0, 1] misses the target on one panel; the smooth
+    # point beside it keeps its one panel, and its value does not depend
+    # on being integrated with the other
+    panels = []
+
+    def f(u, j):
+        panels.append(u.shape[0])
+        return np.exp(np.where(j[:, None] == 0, -40.0, -1.0) * u)
+
+    value, err = quad(f, [0.0, 0.0], [1.0, 1.0], [0, 1], 2)
+    assert panels[0] == 2 and len(panels) > 1
+    assert abs(value[0] - (1.0 - math.exp(-40.0)) / 40.0) <= 2 * EPS / 40.0
+    assert abs(value[1] - (1.0 - math.exp(-1.0))) <= EPS
+    alone = quad(lambda u, j: np.exp(-u), [0.0], [1.0], [0], 1)
+    assert alone[0][0] == value[1] and alone[1][0] == err[1]

@@ -17,6 +17,7 @@ from khalfin import (
     make_density,
     power_tail_coefficient,
 )
+from khalfin import survival
 from khalfin.effham import _conditioning
 from khalfin.errors import DomainError
 
@@ -170,6 +171,44 @@ def test_quadrature_any_energy_scale(x, gamma0, hbar, e_min, tau):
     a = amplitude_closed_form(d, t).value
     q = amplitude_quadrature(d, t).value
     assert abs(q - a) <= max(1e-8 * abs(a), 1e-10)
+
+
+def _quadrature_work(x: float, t: float):
+    """(panels of the first pass, integrand evaluations) of one
+    quadrature-route point, counted at the rule's entry point."""
+    rows = []
+    rule = survival.quad
+
+    def counting(f, *args):
+        return rule(lambda u, j: (rows.append(u.shape[0]), f(u, j))[1], *args)
+
+    survival.quad = counting
+    try:
+        amplitude_quadrature(make_density(0.0, x, 1.0), t)
+    finally:
+        survival.quad = rule
+    return rows[0], 31 * sum(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=_log_uniform(-300.0, 8.0), t=st.one_of(st.just(0.0), _log_uniform(-300.0, 8.0)))
+@example(x=6.850994355967992e-289, t=1.0)
+@example(x=1e8, t=1e8)
+def test_quadrature_work_is_bounded_in_x_and_t(x, t):
+    # with the pole at c = i xs subtracted, neither the panels nor the
+    # evaluations per point may grow with ln(1/x) or ln(1/t)
+    panels, evaluations = _quadrature_work(x, t)
+    assert panels <= 15
+    assert evaluations <= 2 * 15 * 31
+
+
+def test_quadrature_error_estimate_does_not_grow_as_x_shrinks():
+    # the error estimate must not grow with ln(1/x) as the pole narrows.
+    # a(t) scales with N, which rises by 0.13% from x = 1e-3 to x = 0, so
+    # est_error is compared per unit N
+    per_n = [amplitude_quadrature(d, 1.0).est_error / d.norm_n
+             for d in (make_density(0.0, x, 1.0) for x in (1e-3, 1e-289))]
+    assert per_n[1] <= per_n[0] <= 1e-14
 
 
 def test_closed_form_deep_exponential_era_no_overflow():
