@@ -9,10 +9,10 @@ the decay law are comparable where
 with g_w = x / (x^2 + 1/4) the relaxation coefficient g of
 khalfin.density in width units.  For x >= 1, 2 ln s - s - ln A = 0 has
 two real roots, either side of s = 2; the physical crossover is the
-large one.  `crossover_roots` finds both by Newton iteration on arrays
-of x, in ln A = 2 (ln g_w - ln x - ln 2 pi), so that no x overflows.
-Differentiating the relation gives ds/d ln x = 4 x^2/(x^2 + 1/4) /
-(1 - 2/s), which approaches 4 from above as x grows.  The classical
+large one.  Both are Lambert W values, s = -2 W_b(-sqrt(A)/2) on branches
+0 and -1, but sqrt A underflows past x ~ 2.6e153, so `crossover_roots`
+finds them with numerics.newton, the iteration of numerics.lambert_w, in
+ln A = 2 (ln g_w - ln x - ln 2 pi), where no x overflows.  The classical
 logarithmic approximation s ~ 8.28 + 4 ln x + 2 ln(8.28 + 4 ln x) is
 also provided verbatim for comparison; for x = 100 it overshoots the
 exact root by roughly 15%, which the CLI surfaces explicitly.
@@ -28,6 +28,7 @@ import numpy as np
 
 from .density import NormalizedDensity, _relaxation
 from .errors import ConvergenceError, DomainError
+from .numerics import newton
 
 APPROX_CONSTANT = 8.28
 APPROX_VALIDITY_X = 100.0
@@ -60,22 +61,9 @@ def crossover_equation_sides(d: NormalizedDensity, s: float):
     return math.exp(-s), dominance_coefficient(d) / (s * s)
 
 
-def _newton(step, s: np.ndarray) -> np.ndarray:
-    """Newton from the seed s; each element retires once its step is below
-    1e-15 of it, so its value never depends on the rest of the array."""
-    active = np.ones(s.shape, dtype=bool)
-    for _ in range(60):
-        ds = np.where(active, step(s), 0.0)
-        s = s - ds
-        active &= np.abs(ds) > 1e-15 * s
-        if not active.any():
-            return s
-    raise ConvergenceError("crossover Newton iteration did not converge")
-
-
 def crossover_roots(x):
     """Both real roots (s_small, s_large) of 2 ln s - s - ln A = 0 for an
-    array of finite x >= 1, as arrays of its shape.
+    array of finite x >= 1, as arrays of its shape, each by numerics.newton.
 
     The large root starts from L + 2 ln L (L = -ln A), the small one from
     sqrt(A), on s = sqrt(A) e^{s/2}; it underflows past x ~ 2.6e153.  The
@@ -83,6 +71,11 @@ def crossover_roots(x):
     e^{-s} = A/s^2, must be <= 1e-12, or 4 eps s past s = 1126, where
     e^{-s} is 0 in doubles and 4 eps s bounds the rounding of s.
     """
+    return _roots(x)[:2]
+
+
+def _roots(x):
+    """(s_small, s_large, sqrt A) of crossover_roots."""
     x = np.asarray(x, dtype=float)
     if not np.all((x >= 1.0) & (x < np.inf)):
         raise DomainError("crossover solver requires a finite x >= 1")
@@ -96,13 +89,13 @@ def crossover_roots(x):
         return (s - e) / (1.0 - 0.5 * e)
 
     el = -log_a
-    s_large = _newton(large_step, el + 2.0 * np.log(el))
-    s_small = _newton(small_step, root_a)
+    s_large = newton(large_step, el + 2.0 * np.log(el))
+    s_small = newton(small_step, root_a)
     g = np.abs(2.0 * np.log(s_large) - s_large - log_a)
     bad = g > np.maximum(1e-12, 4.0 * _EPS * s_large)
     if bad.any():
         raise ConvergenceError(f"crossover root residual {g[bad].max():g} too large")
-    return s_small, s_large
+    return s_small, s_large, root_a
 
 
 @dataclass(frozen=True)
@@ -118,32 +111,32 @@ class CrossoverResult:
         return self.s_exact_large * p.hbar / p.gamma0
 
 
+def _paper_approx(x: float) -> float:
+    inner = APPROX_CONSTANT + 4.0 * math.log(x)
+    return inner + 2.0 * math.log(inner)
+
+
 def paper_approx_crossover(d: NormalizedDensity) -> float:
     """Logarithmic approximation to the crossover, constant 8.28,
     stated for x > 100; a warning is emitted below that."""
     x = d.params.x
     if x <= APPROX_VALIDITY_X:
-        warnings.warn(
-            f"crossover approximation is quoted for x > {APPROX_VALIDITY_X:g}; "
-            f"got x = {x:g}", stacklevel=2,
-        )
-    inner = APPROX_CONSTANT + 4.0 * math.log(x)
-    return inner + 2.0 * math.log(inner)
+        warnings.warn(f"crossover approximation is quoted for x > "
+                      f"{APPROX_VALIDITY_X:g}; got x = {x:g}", stacklevel=2)
+    return _paper_approx(x)
 
 
 def solve_crossover(d: NormalizedDensity) -> CrossoverResult:
     """crossover_roots of one model, with the residual |e^{-s} - A/s^2| of
-    the large root and the logarithmic approximation."""
-    small, large = crossover_roots([d.params.x])
+    the large root and the logarithmic approximation (without its
+    warning)."""
+    small, large, root_a = _roots([d.params.x])
     s_large = float(large[0])
-    a = dominance_coefficient(d)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        approx = paper_approx_crossover(d)
+    a = float(root_a[0] * root_a[0])
     return CrossoverResult(
         s_exact_small=float(small[0]),
         s_exact_large=s_large,
-        s_paper_approx=approx,
+        s_paper_approx=_paper_approx(d.params.x),
         # crossover_equation_sides, with A formed once
         residual=abs(math.exp(-s_large) - a / (s_large * s_large)),
         a_coefficient=a,

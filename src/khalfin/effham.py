@@ -56,11 +56,6 @@ class HamiltonianSample:
     route: HamiltonianRoute
     ill_conditioned: bool | np.ndarray = False
 
-    @classmethod
-    def from_h(cls, t, h, route, ill_conditioned=False):
-        return cls(t=t, h=h, energy=h.real, rate=-2.0 * h.imag,
-                   route=route, ill_conditioned=ill_conditioned)
-
 
 def _conditioning(d: NormalizedDensity, t: np.ndarray, a_abs: np.ndarray) -> np.ndarray:
     """Interference between the pole and power-law terms can drive a(t)
@@ -89,13 +84,14 @@ def _sample(t, shape, h, route, ill_conditioned) -> HamiltonianSample:
     if bad.size:
         raise RangeOverflowError(f"{route.value} route: h(t={t[bad[0]]:g}) is "
                                  "out of the double range")
-    return HamiltonianSample.from_h(_unflat(t, shape), _unflat(h, shape), route,
-                                    _unflat(ill_conditioned, shape))
+    h = _unflat(h, shape)
+    return HamiltonianSample(_unflat(t, shape), h, h.real, -2.0 * h.imag, route,
+                             _unflat(ill_conditioned, shape))
 
 
 def _positive_times(t):
     tt, shape = _flat(t, float)
-    if np.any(tt <= 0):
+    if not np.all(tt > 0):
         raise DomainError("t must be > 0 (energy diverges as t -> 0+)")
     return tt, shape
 
@@ -186,32 +182,40 @@ class PowerLawModel:
         if len(self.coefficients) == 0 or self.coefficients[0] == 0:
             raise DomainError("leading coefficient c_0 must be nonzero")
 
-    def amplitude(self, t: float) -> complex:
-        """The model amplitude itself (valid only asymptotically)."""
-        s = sum(c * t ** (-float(k)) for k, c in enumerate(self.coefficients))
-        return np.exp(-1j * self.e_min * t / self.hbar) * s * t ** (-self.lam)
+    def _sums(self, t: np.ndarray):
+        """(sum c_k t^-k, sum (lam + k) c_k t^-k) over flat t."""
+        k = np.arange(len(self.coefficients))
+        terms = np.asarray(self.coefficients, dtype=complex) * t[:, None] ** -k
+        return terms.sum(axis=1), (terms * (self.lam + k)).sum(axis=1)
+
+    def amplitude(self, t):
+        """The model amplitude itself (valid only asymptotically), at a
+        scalar t or an array."""
+        tt, shape = _positive_times(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = (np.exp(-1j * self.e_min * tt / self.hbar) * self._sums(tt)[0]
+                 * tt ** -self.lam)
+        if not np.isfinite(a).all():
+            raise RangeOverflowError("power-law amplitude is out of the double range")
+        return _unflat(a, shape)
 
 
-def powerlaw_hamiltonian(m: PowerLawModel, t: float) -> HamiltonianSample:
+def powerlaw_hamiltonian(m: PowerLawModel, t) -> HamiltonianSample:
     """Exact effective Hamiltonian of the inverse-power amplitude:
 
     h(t) = e_min + (i hbar / t) * (-sum (lam+k) c_k t^-k) / (sum c_k t^-k)
 
     The common t^-lam factor cancels, so this stays well-scaled for any
-    lam and large t.
+    lam and large t.  t may be a scalar or an array.
     """
-    if t <= 0:
-        raise DomainError("t must be > 0")
-    num = 0.0 + 0.0j
-    den = 0.0 + 0.0j
-    for k, c in enumerate(m.coefficients):
-        tk = t ** (-float(k))
-        num += -(m.lam + k) * c * tk
-        den += c * tk
-    if abs(den) < 1e-280:
+    tt, shape = _positive_times(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        den, num = m._sums(tt)
+        h = m.e_min - 1j * m.hbar * num / (den * tt)
+    if np.any(np.abs(den) < 1e-280):
         raise AmplitudeUnderflowError("power series denominator vanished")
-    h = m.e_min + 1j * m.hbar * num / (den * t)
-    return HamiltonianSample.from_h(t, h, HamiltonianRoute.EXACT_RATIO)
+    return _sample(tt, shape, h, HamiltonianRoute.EXACT_RATIO,
+                   np.zeros(tt.shape, bool))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Special-function and quadrature kernel.
 
 Provides the complex exponential integral E1 (plain and overflow-safe
-scaled form e^z E1(z)), the real-branch Lambert W function, and an
-adaptive Gauss-Kronrod rule that integrates arrays of panels in one array
-pass per bisection level, for the quadrature route.
+scaled form e^z E1(z)); the array Newton iteration of the package, and on
+it the real branches 0 and -1 of Lambert W, over arrays; and an adaptive
+Gauss-Kronrod rule that integrates arrays of panels in one array pass per
+bisection level, for the quadrature route.
 
 All functions here are pure; nothing holds mutable state.
 """
@@ -194,77 +195,78 @@ def _e1s_asym_terms(z: np.ndarray, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Lambert W, real branches 0 and -1
+# Newton iteration; Lambert W, real branches 0 and -1
 # ---------------------------------------------------------------------------
+
+def newton(step, x: np.ndarray) -> np.ndarray:
+    """Newton from the seed x: x -= step(x), elementwise.  An element
+    retires once its step is at most 1e-15 of |x|, or no smaller than its
+    previous step (a rounding cycle), so its value never depends on the
+    rest of the array."""
+    active = np.ones(x.shape, dtype=bool)
+    last = np.inf
+    for _ in range(60):
+        dx = np.where(active, step(x), 0.0)
+        x = x - dx
+        size = np.abs(dx)
+        active &= (size > 1e-15 * np.abs(x)) & (size < last)
+        if not active.any():
+            return x
+        last = size
+    raise ConvergenceError("Newton iteration did not converge")
+
 
 _INV_E = math.exp(-1.0)
 
 
-def _lambert_seed(branch: int, x: float) -> float:
-    p2 = 2.0 * (math.e * x + 1.0)
-    if p2 <= 0.0:
-        return -1.0
-    p = math.sqrt(p2)
-    if branch == 0:
-        if x < -_INV_E + 0.05:
-            # branch-point series
-            return -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p**3
-        if x > 2.0:
-            lx = math.log(x)
-            return lx - math.log(lx) if lx > 1 else lx
-        return math.log1p(x)
-    # branch -1: domain -1/e <= x < 0
-    if x < -_INV_E + 0.05:
-        return -1.0 - p - p * p / 3.0 - 11.0 / 72.0 * p**3
-    l1 = math.log(-x)
-    return l1 - math.log(-l1)
+def lambert_w(branch: int, x):
+    """Real Lambert W on branch 0 or -1: w with w e^w = x, of a scalar
+    (a Python float) or an array.  Branch 0 covers x >= -1/e (w >= -1);
+    branch -1 covers -1/e <= x < 0 (w <= -1).
 
-
-def lambert_w(branch: int, x: float) -> float:
-    """Real Lambert W on branch 0 or -1: returns w with w e^w = x.
-
-    Branch 0 covers x >= -1/e (w >= -1); branch -1 covers -1/e <= x < 0
-    (w <= -1).  Residual |w e^w - x| <= 1e-13 max(1, |x|).
+    Newton on w + ln(w/x) = 0, with the step w (w + ln(w/x))/(w + 1), in
+    which 1/w cannot overflow.  ln(w/x) is formed as such on branch 0,
+    where w/x is in (0, e), and as ln|w| - ln|x| on branch -1, where
+    |w| >= 1 and w/x can overflow.  Residual |w e^w - x| <= 1e-13
+    max(1, |x|), or ConvergenceError.
     """
     if branch not in (0, -1):
         raise DomainError("branch must be 0 or -1")
-    x = float(x)
+    xx, shape = _flat(x, float)
+    top, domain = ((np.inf, "a finite x >= -1/e") if branch == 0
+                   else (0.0, "-1/e <= x < 0"))
+    if not np.all((xx >= -_INV_E * (1.0 + 4 * _EPS)) & (xx < top)):
+        raise DomainError(f"branch {branch} requires {domain}")
+    w = np.zeros_like(xx)                      # x = 0 on branch 0
+    w[xx < -_INV_E + 1e-16] = -1.0             # the branch point
+    solve = (xx != 0.0) & (xx >= -_INV_E + 1e-16)
+    y = xx[solve]
+    # seeds: ln(1 + y), or L - ln L past e (L = ln y), on branch 0 and
+    # L - ln(-L) (L = ln(-y)) on branch -1; near -1/e the branch-point
+    # series in q = +-sqrt(2 (e y + 1))
+    near = y < -_INV_E + 0.05
+    q = np.sqrt(2.0 * (math.e * y[near] + 1.0))
     if branch == 0:
-        if x < -_INV_E * (1.0 + 4 * _EPS):
-            raise DomainError("branch 0 requires x >= -1/e")
-        if x == 0.0:
-            return 0.0
+        seed = np.log1p(y)
+        big = y > math.e
+        lx = np.log(y[big])
+        seed[big] = lx - np.log(lx)
     else:
-        if not (-_INV_E * (1.0 + 4 * _EPS) <= x < 0.0):
-            raise DomainError("branch -1 requires -1/e <= x < 0")
-    if abs(x + _INV_E) < 1e-16:
-        return -1.0
+        ly = np.log(-y)
+        seed = ly - np.log(-ly)
+        q = -q
+    seed[near] = -1.0 + q - q * q / 3.0 + 11.0 / 72.0 * q**3
 
-    w = _lambert_seed(branch, x)
-    # the achievable residual scales with |x| (rounding of w e^w), so the
-    # stopping tolerance must be relative; an absolute one stalls the
-    # iteration for tiny |x| on branch -1 where |w| is large
-    tol = max(1e-15 * abs(x), 5e-324)
-    for _ in range(80):
-        ew = math.exp(w)
-        fw = w * ew - x
-        if abs(fw) <= tol:
-            break
-        wp1 = w + 1.0
-        if wp1 == 0.0:
-            w += 1e-12
-            continue
-        # Halley step
-        denom = ew * wp1 - (w + 2.0) * fw / (2.0 * wp1)
-        step = fw / denom
-        wn = w - step
-        if wn == w:
-            break
-        w = wn
-    residual = abs(w * math.exp(w) - x)
-    if residual > 1e-13 * max(1.0, abs(x)):
-        raise ConvergenceError(f"Lambert W residual {residual:g} too large")
-    return w
+    def step(w):
+        log_ratio = np.log(w / y) if branch == 0 else np.log(-w) - ly
+        return w * (w + log_ratio) / (w + 1.0)
+
+    w[solve] = newton(step, seed)
+    res = np.abs(w * np.exp(w) - xx)
+    bad = ~(res <= 1e-13 * np.maximum(1.0, np.abs(xx)))
+    if bad.any():
+        raise ConvergenceError(f"Lambert W residual {res[bad].max():g} too large")
+    return _unflat(w, shape)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from khalfin import make_density, paper_approx_crossover, solve_crossover
 from khalfin.crossover import (
+    _dominance,
     crossover_equation_sides,
     crossover_roots,
     dominance_coefficient,
 )
 from khalfin.errors import DomainError
+from khalfin.numerics import lambert_w
 
 _TINY = np.finfo(float).tiny
 
@@ -122,6 +124,20 @@ def test_array_matches_solve_crossover(log10_xs):
     for x, s_small, s_large in zip(xs, small.tolist(), large.tolist()):
         res = solve_crossover(make_density(0.0, x, 1.0))
         assert (res.s_exact_small, res.s_exact_large) == (s_small, s_large)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(0.0, 150.0), min_size=1, max_size=40))
+@example([0.0, 150.0])
+def test_roots_are_lambert_w_values(log10_xs):
+    # s = -2 W_b(-sqrt(A)/2), where sqrt A is normal; crossover_roots
+    # solves in ln A and lambert_w in w + ln(w/x), with one Newton iteration
+    x = 10.0 ** np.array(log10_xs)
+    small, large = crossover_roots(x)
+    y = -0.5 * _dominance(x)[1]
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(-2.0 * lambert_w(-1, y) / large - 1) <= 4 * eps)
+    assert np.all(np.abs(-2.0 * lambert_w(0, y) / small - 1) <= 1e-13)
 
 
 def test_equation_sides_domain(d100):

@@ -173,6 +173,39 @@ def test_powerlaw_long_time_limit():
     assert abs(h.imag + 2.0 / 1e9) <= 1e-15
 
 
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
+def test_powerlaw_routes_refuse_non_positive_t(t):
+    m = PowerLawModel(e_min=1.5, lam=1.0, coefficients=(1.0, -0.4 + 0.2j))
+    with pytest.raises(DomainError):
+        powerlaw_hamiltonian(m, t)
+    with pytest.raises(DomainError):
+        m.amplitude(t)
+    with pytest.raises(DomainError):
+        powerlaw_hamiltonian(m, np.array([1.0, t]))
+
+
+def test_powerlaw_routes_refuse_infinite_t():
+    m = PowerLawModel(e_min=1.5, lam=1.0, coefficients=(1.0, -0.4 + 0.2j))
+    with pytest.raises(RangeOverflowError):
+        powerlaw_hamiltonian(m, math.inf)
+    with pytest.raises(RangeOverflowError):
+        m.amplitude(math.inf)
+
+
+def test_powerlaw_routes_take_arrays():
+    m = PowerLawModel(e_min=1.5, lam=1.0,
+                      coefficients=(1.0, -0.4 + 0.2j, 0.05), hbar=0.7)
+    ts = np.array([[2.0, 17.0], [400.0, 1e9]])
+    s = powerlaw_hamiltonian(m, ts)
+    a = m.amplitude(ts)
+    assert s.h.shape == a.shape == ts.shape
+    for t, h, amp in zip(ts.ravel().tolist(), s.h.ravel().tolist(),
+                         a.ravel().tolist()):
+        assert powerlaw_hamiltonian(m, t).h == h
+        assert m.amplitude(t) == amp
+    assert type(m.amplitude(2.0)) is complex
+
+
 def test_fit_powerlaw_tail(d100, t_as_100):
     from khalfin import power_tail_coefficient
 

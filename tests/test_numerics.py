@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sps
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from khalfin import (
@@ -306,8 +306,13 @@ def test_lambert_branch_minus1_vs_scipy(x):
     assert abs(w - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
+# the examples are rounding 2-cycles of Newton near -1/e: the relative
+# step repeats at about 1.6e-15 (branch 0) or 3.4e-15 (branch -1) and never
+# falls to 1e-15, so only the rule that retires a step no smaller than the
+# last one ends them
 @settings(max_examples=150, deadline=None)
 @given(st.floats(min_value=-math.exp(-1.0) + 1e-12, max_value=1e6))
+@example(-0.3669367073342357)
 def test_lambert_branch0_residual(x):
     w = lambert_w(0, x)
     assert abs(w * math.exp(w) - x) <= 1e-13 * max(1.0, abs(x))
@@ -316,10 +321,36 @@ def test_lambert_branch0_residual(x):
 
 @settings(max_examples=150, deadline=None)
 @given(st.floats(min_value=-math.exp(-1.0) + 1e-12, max_value=-1e-300))
+@example(-0.3671364130001638)
 def test_lambert_branch_minus1_residual(x):
     w = lambert_w(-1, x)
     assert abs(w * math.exp(w) - x) <= 1e-13 * max(1.0, abs(x))
     assert w <= -1.0 + 1e-9
+
+
+@pytest.mark.parametrize("x", [-5e-324, -1e-320, -1e-310, -2.2e-308])
+def test_lambert_branch_minus1_at_subnormal_x(x):
+    # w/x overflows here, so branch -1 forms ln|w| - ln|x|; SciPy returns
+    # -inf or nan at the first two
+    with mp.workdps(40):
+        ref = mp.lambertw(mp.mpf(x), -1)
+        assert abs(lambert_w(-1, x) / ref - 1) <= 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 1),
+       st.lists(st.floats(-math.exp(-1.0), 1e300), min_size=1, max_size=30))
+@example(0, [0.0, -math.exp(-1.0), -0.3669367073342357, 5e-324, 2.0, 1e300])
+@example(1, [-math.exp(-1.0), -0.3671364130001638, -0.2, -5e-324])
+def test_lambert_array_matches_scalar_calls(minus, xs):
+    branch = -minus
+    if branch == -1:
+        xs = [x for x in xs if x < 0] or [-0.25]
+    got = lambert_w(branch, np.array(xs).reshape(-1, 1))
+    assert got.shape == (len(xs), 1)
+    want = [lambert_w(branch, x) for x in xs]
+    assert all(type(w) is float for w in want)
+    assert got.ravel().tolist() == want
 
 
 def test_lambert_domain_errors():
@@ -331,6 +362,12 @@ def test_lambert_domain_errors():
         lambert_w(-1, -1.0)
     with pytest.raises(DomainError):
         lambert_w(1, 0.5)
+    for branch in (0, -1):
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                lambert_w(branch, x)
+            with pytest.raises(DomainError):
+                lambert_w(branch, np.array([-0.1, x]))
 
 
 # ---------------------------------------------------------------------------
