@@ -27,11 +27,12 @@ from .errors import (
     FitError,
     RangeOverflowError,
 )
-from .numerics import _complex, _flat, _unflat
+from .numerics import _complex, _unflat
 from .survival import (
     AmplitudeSample,
     _closed_form,
     _delta,
+    _times,
     power_tail_coefficient,
 )
 
@@ -89,13 +90,6 @@ def _sample(t, shape, h, route, ill_conditioned) -> HamiltonianSample:
                              _unflat(ill_conditioned, shape))
 
 
-def _positive_times(t):
-    tt, shape = _flat(t, float)
-    if not np.all(tt > 0):
-        raise DomainError("t must be > 0 (energy diverges as t -> 0+)")
-    return tt, shape
-
-
 def _exact_ratio(d, t, shape, a, e1s_z1) -> HamiltonianSample:
     """h = pole + delta_a/a from a(t) and E1s(z1) of one closed-form call."""
     a_abs = np.abs(a)
@@ -111,7 +105,7 @@ def effective_hamiltonian(d: NormalizedDensity, t) -> HamiltonianSample:
     t may be a scalar or an array; a(t) and delta_a(t) come from one E1
     call on [z1; z2], delta_a reusing E1s(z1) of the amplitude.
     """
-    tt, shape = _positive_times(t)
+    tt, shape = _times(t, positive=True)
     a, _, e1s_z1 = _closed_form(d, tt, with_z1=True)
     return _exact_ratio(d, tt, shape, a, e1s_z1)
 
@@ -127,7 +121,7 @@ def effective_hamiltonian_fd(d: NormalizedDensity, t, with_exact: bool = False):
     no second E1 call and equals effective_hamiltonian(d, t).
     """
     p = d.params
-    tt, shape = _positive_times(t)
+    tt, shape = _times(t, positive=True)
     step = _EPS ** (1.0 / 3.0) * np.maximum(tt, p.lifetime)
     if np.any(tt <= 2.0 * step):
         raise DomainError("t too small for the finite-difference stencil")
@@ -155,7 +149,7 @@ def hamiltonian_asymptotic(d: NormalizedDensity, t) -> HamiltonianSample:
 
     t may be a scalar or an array; the form is never flagged.
     """
-    tt, shape = _positive_times(t)
+    tt, shape = _times(t, positive=True)
     p = d.params
     h = _complex(_late_time_energy(p.e0, p.gamma0, p.e_min, p.hbar, tt),
                  -p.hbar / tt)
@@ -191,7 +185,7 @@ class PowerLawModel:
     def amplitude(self, t):
         """The model amplitude itself (valid only asymptotically), at a
         scalar t or an array."""
-        tt, shape = _positive_times(t)
+        tt, shape = _times(t, positive=True)
         with np.errstate(over="ignore", invalid="ignore"):
             a = (np.exp(-1j * self.e_min * tt / self.hbar) * self._sums(tt)[0]
                  * tt ** -self.lam)
@@ -208,7 +202,7 @@ def powerlaw_hamiltonian(m: PowerLawModel, t) -> HamiltonianSample:
     The common t^-lam factor cancels, so this stays well-scaled for any
     lam and large t.  t may be a scalar or an array.
     """
-    tt, shape = _positive_times(t)
+    tt, shape = _times(t, positive=True)
     with np.errstate(over="ignore", invalid="ignore"):
         den, num = m._sums(tt)
         h = m.e_min - 1j * m.hbar * num / (den * tt)

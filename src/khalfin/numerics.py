@@ -45,26 +45,23 @@ def _flat(x, dtype):
 
 def _unflat(values: np.ndarray, shape):
     """values in the caller's shape; a Python scalar for scalar input."""
-    return values.reshape(shape) if shape else values.item()
+    if not shape:
+        return values.item()
+    return values if values.shape == shape else values.reshape(shape)
+
+
+def _all(mask: np.ndarray) -> bool:
+    """mask.all(), at about a third of its cost on small arrays."""
+    return np.count_nonzero(mask) == mask.size
 
 
 def _complex(re, im) -> np.ndarray:
-    """Elementwise complex(re, im) of two real arrays of one shape, without
-    rounding."""
+    """Elementwise complex(re, im) of two real arrays, im of re's shape or
+    broadcasting to it, without rounding."""
     out = np.empty(np.shape(re), dtype=complex)
     out.real = re
     out.imag = im
     return out
-
-
-def _e1_args(z):
-    """z as a flat complex array, checked against the domain of E1."""
-    zz, shape = _flat(z, complex)
-    if np.any(zz == 0):
-        raise DomainError("E1 is singular at z = 0")
-    if np.any((zz.imag == 0) & (zz.real < 0)):
-        raise DomainError("E1 branch cut: z on the negative real axis")
-    return zz, shape
 
 
 # Steps per |z| band (band i: tops[i-1] <= |z| < tops[i]; the last is open
@@ -82,22 +79,64 @@ _SERIES_COEFFS = np.array([0.0] + [(-1) ** (k + 1) / (k * math.factorial(k))
                                    for k in range(1, _SERIES_TERMS[-1] + 1)])
 
 
-def _backward(z, tops, counts, start, step):
-    """v = step(v, z, k) for k = n..1 from v = start(z, n), on each element
-    of z with n the count of its band (tops, counts).  The elements are
-    sorted by n, largest first, so step k updates the prefix with n >= k."""
-    n = counts[np.searchsorted(tops, np.abs(z), side="right")]
-    order = np.argsort(-n, kind="stable")
-    zs, n = z[order], n[order]
-    at_least = np.searchsorted(-n, -np.arange(counts.max() + 1), side="right")
+def _bands(tops, counts):
+    """A band table: (tops, counts, the distinct counts largest first, and
+    minus those)."""
+    levels = sorted(set(counts.tolist()), reverse=True)
+    return tops, counts, levels, -np.array(levels)
+
+
+_SERIES_BANDS = _bands(_SERIES_TOPS, _SERIES_TERMS)
+_CF_BANDS = _bands(_CF_TOPS, _CF_DEPTHS)
+
+
+def _backward(z, bands, start, steps):
+    """v = start(z, n), then v = step_k(v) for k = n..1, on each element of
+    z with n the count of its band.
+
+    The elements are sorted by n, largest first, so step k updates the
+    prefix with n >= k, and that prefix changes only where a band present
+    ends.  steps(v, z, hi, lo) applies the steps k = hi..lo + 1 to one such
+    prefix; it is called once per run of steps, not per step, and the last
+    run, down to k = 1, takes the whole array."""
+    tops, counts, levels, minus_levels = bands
+    n = counts.take(tops.searchsorted(np.abs(z), side="right"))
+    order = (-n).argsort(kind="stable")
+    zs, n = z.take(order), n.take(order)
     v = start(zs, n)
-    for k in range(counts.max(), 0, -1):
-        m = at_least[k]
-        if m:
-            v[:m] = step(v[:m], zs[:m], k)
+    sizes = (-n).searchsorted(minus_levels, side="right").tolist()
+    m = hi = 0
+    for i, size in enumerate(sizes):     # runs of steps with one prefix size
+        if size != m:
+            if m:
+                v[:m] = steps(v[:m], zs[:m], hi, levels[i])
+            m, hi = size, levels[i]
+    v = steps(v, zs, hi, 0)
     out = np.empty_like(v)
     out[order] = v
     return out
+
+
+# The constants of each step as complex arrays: NumPy dispatches an operand
+# of the array's own dtype at about half the cost of a Python number, and
+# converts the number to the same complex value anyway
+_SERIES_STEP = [np.array(complex(c)) for c in _SERIES_COEFFS]
+_CF_ODD = np.array([complex(2 * k - 1) for k in range(_CF_DEPTHS.max() + 1)])
+_CF_SQUARE = [np.array(complex(k * k)) for k in range(_CF_DEPTHS.max() + 1)]
+
+
+def _series_steps(p, z, hi, lo):
+    for k in range(hi, lo, -1):
+        p = p * z + _SERIES_STEP[k - 1]
+    return p
+
+
+def _cf_steps(f, z, hi, lo):
+    # z + 2k - 1 for the whole run in one operation, row k - lo - 1
+    shifted = z + _CF_ODD[lo + 1:hi + 1, None]
+    for k in range(hi, lo, -1):
+        f = shifted[k - lo - 1] - _CF_SQUARE[k] / f
+    return f
 
 
 def _e1_series(z: np.ndarray) -> np.ndarray:
@@ -112,10 +151,8 @@ def _e1_series(z: np.ndarray) -> np.ndarray:
     (Re z < 0, |Im z| small) the terms share nearly one phase and the
     series is accurate out to |z| = 40.
     """
-    c = _SERIES_COEFFS
-    p = _backward(z, _SERIES_TOPS, _SERIES_TERMS,
-                  lambda z, n: c[n].astype(complex),
-                  lambda p, z, k: p * z + c[k - 1])
+    p = _backward(z, _SERIES_BANDS, lambda z, n: _SERIES_COEFFS[n].astype(complex),
+                  _series_steps)
     return -EULER_GAMMA - np.log(z) + p
 
 
@@ -125,25 +162,39 @@ def _e1_cf_scaled(z: np.ndarray) -> np.ndarray:
     |Im z| >= 6), at depth n: f = z + 2n + 1, then f = (z + 2k - 1) - k^2/f
     for k = n..1, and 1/f.  Off the cut each f keeps the sign of Im z (and
     f > 0 on the positive axis), so no step divides by zero."""
-    return 1.0 / _backward(z, _CF_TOPS, _CF_DEPTHS,
-                           lambda z, n: z + (2 * n + 1),
-                           lambda f, z, k: (z + (2 * k - 1)) - k * k / f)
+    return 1.0 / _backward(z, _CF_BANDS, lambda z, n: z + (2 * n + 1), _cf_steps)
 
 
 def _e1(z: np.ndarray, scaled: bool) -> np.ndarray:
-    """E1 (or e^z E1 when scaled) of a flat, domain-checked array, with
-    one pass of each branch over its own elements."""
+    """E1 (or e^z E1 when scaled) of a flat complex array, checked against
+    the domain first, with one pass of each branch over its own elements."""
     r = np.abs(z)
-    series = (r + z.real <= 4.0) & (r < 40.0)
-    asym = (r >= 40.0) & (z.real < 0) & (np.abs(z.imag) < 6.0)
+    s = r + z.real
+    # z = 0 and the negative real axis have |z| + Re z = 0, as have points
+    # a rounding away from the axis; only those get the exact tests
+    if np.count_nonzero(s == 0.0):
+        if np.count_nonzero(z == 0):
+            raise DomainError("E1 is singular at z = 0")
+        if np.count_nonzero((z.imag == 0) & (z.real < 0)):
+            raise DomainError("E1 branch cut: z on the negative real axis")
+    if not scaled and np.count_nonzero(z.real < -_EXP_OVERFLOW):
+        raise RangeOverflowError(
+            "e^{-z} overflows for Re z < -700; use exp_integral_e1_scaled"
+        )
+    near = s <= 4.0
+    small = r < 40.0
+    series = near & small
+    # |z| >= 40 with Re z < 0 and |Im z| < 6: there |z| + Re z < 0.45, and
+    # elsewhere |z| >= 40 puts |z| + Re z above 4 unless Re z < 0
+    asym = near & ~small & (np.abs(z.imag) < 6.0)
     cf = ~(series | asym)
     out = np.empty_like(z)
-    if series.any():
+    if np.count_nonzero(series):
         zs = z[series]
         out[series] = np.exp(zs) * _e1_series(zs) if scaled else _e1_series(zs)
-    if cf.any():
+    if np.count_nonzero(cf):
         out[cf] = _e1_cf_scaled(z[cf])
-    if asym.any():
+    if np.count_nonzero(asym):
         # for |z| >= 40 the terms fall up to k = 39: the series stops at
         # about its smallest term, about e^{-40} of the sum; cumsum adds
         # them in order, where sum(axis=0) adds a lone element's pairwise
@@ -161,7 +212,7 @@ def exp_integral_e1_scaled(z):
     Takes a complex scalar (returns a Python complex) or an array (returns
     an array of the same shape).
     """
-    zz, shape = _e1_args(z)
+    zz, shape = _flat(z, complex)
     return _unflat(_e1(zz, scaled=True), shape)
 
 
@@ -173,11 +224,7 @@ def exp_integral_e1(z):
     (deep left half-plane); use the scaled form there.  Takes a scalar or
     an array, like exp_integral_e1_scaled.
     """
-    zz, shape = _e1_args(z)
-    if np.any(-zz.real > _EXP_OVERFLOW):
-        raise RangeOverflowError(
-            "e^{-z} overflows for Re z < -700; use exp_integral_e1_scaled"
-        )
+    zz, shape = _flat(z, complex)
     return _unflat(_e1(zz, scaled=False), shape)
 
 
@@ -325,12 +372,14 @@ def quad(f, lo, hi, point, npoints: int):
 
     f(u, j) takes abscissae u of shape (m, 31), row r in panel j[r] (or a
     part of it), and returns f there as an array of the same shape.  Every
-    panel runs through the rule in one array pass.  A panel whose Gauss
-    minus Kronrod difference exceeds _PANEL_REL of its point's sum of
-    |panel| is bisected, and its halves run in the next pass, for at most
-    _PASSES passes and _PANEL_LIMIT panels per point.  A panel's error
-    estimate is that difference, but at least _ROUNDING times the integral
-    of |f| over it.  Each point's panels are summed in a fixed order, so
+    panel runs through the rule in one array pass: one call of f and a
+    fixed number of array operations, whatever the number of panels; the
+    per-point panel counts of bisection are kept only once a panel splits.
+    A panel whose Gauss minus Kronrod difference exceeds _PANEL_REL of its
+    point's sum of |panel| is bisected, and its halves run in the next
+    pass, for at most _PASSES passes and _PANEL_LIMIT panels per point.  A
+    panel's error estimate is that difference, but at least _ROUNDING times
+    the integral of |f| over it.  Each point's panels are summed in a fixed order, so
     its value never depends on the other points.
 
     Raises ConvergenceError when f is not finite, or a point's summed
@@ -340,15 +389,15 @@ def quad(f, lo, hi, point, npoints: int):
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     point = np.asarray(point)
     panel = np.arange(lo.size)
-    panels = np.bincount(point, minlength=npoints)
     kept = []        # (point, value, estimate) of the panels each pass keeps
     for level in range(_PASSES):
         half = 0.5 * (hi - lo)
         mid = lo + half
         fu = f(mid[:, None] + half[:, None] * nodes, panel)
         resabs = (np.abs(fu) * weights).sum(axis=1)
-        if not np.isfinite(resabs).all():
-            k = np.flatnonzero(~np.isfinite(resabs))[0]
+        finite = np.isfinite(resabs)
+        if not _all(finite):
+            k = np.flatnonzero(~finite)[0]
             raise ConvergenceError(f"quadrature: the integrand is not finite on "
                                    f"[{lo[k]:g}, {hi[k]:g}]")
         value = half * (fu * weights).sum(axis=1)
@@ -357,9 +406,11 @@ def quad(f, lo, hi, point, npoints: int):
         if not level:
             target = _PANEL_REL * np.bincount(point, np.abs(value), npoints)
         split = gap > target[point]
-        if level + 1 == _PASSES or not split.any():
+        if level + 1 == _PASSES or not np.count_nonzero(split):
             kept.append((point, value, est))
             break
+        if not level:   # a later pass runs only if this one split
+            panels = np.bincount(point, minlength=npoints)
         grown = panels + np.bincount(point[split], minlength=npoints)
         split &= grown[point] <= _PANEL_LIMIT
         panels = np.where(grown <= _PANEL_LIMIT, grown, panels)
@@ -376,7 +427,7 @@ def quad(f, lo, hi, point, npoints: int):
                      np.bincount(point, value.imag, npoints))
     err = np.bincount(point, est, npoints)
     accepted = err <= _ACCEPT_REL * np.abs(total)
-    if not accepted.all():
+    if not _all(accepted):
         k = np.flatnonzero(~accepted)[0]
         raise ConvergenceError(f"quadrature: value {total[k]} with error "
                                f"estimate {err[k]:g} not accepted")

@@ -25,6 +25,7 @@ import numpy as np
 from .density import NormalizedDensity, _relaxation
 from .errors import DomainError, RangeOverflowError
 from .numerics import (
+    _all,
     _complex,
     _e1s_asym_terms,
     _EPS,
@@ -65,12 +66,25 @@ def _sample(route: Route, t: np.ndarray, shape, value: np.ndarray,
     """The sample of a route over flat t, in the caller's shape.  Every
     route passes through here, so none returns a value, |value|^2 or
     error estimate that is not finite."""
-    bad = np.flatnonzero(~np.isfinite(np.square(np.abs(value)) + est))
-    if bad.size:
-        raise RangeOverflowError(f"{route.value} route: a(t={t[bad[0]]:g}) is "
+    ok = np.isfinite(np.square(np.abs(value)) + est)
+    if not _all(ok):
+        raise RangeOverflowError(f"{route.value} route: a(t={t[~ok][0]:g}) is "
                                  "out of the double range")
     return AmplitudeSample(_unflat(t, shape), _unflat(value, shape), route,
                            _unflat(est, shape))
+
+
+def _times(t, positive: bool = False):
+    """t as a flat float array, and its shape, checked before any
+    arithmetic: every t >= 0 (> 0 when positive) and finite.  A NaN or
+    too small t is a DomainError, t = inf a RangeOverflowError."""
+    tt, shape = _flat(t, float)
+    ok = np.isfinite(tt) & ((tt > 0.0) if positive else (tt >= 0.0))
+    if not _all(ok):
+        if tt[~ok][0] == np.inf:
+            raise RangeOverflowError("t = inf is out of the double range")
+        raise DomainError("t must be > 0" if positive else "t must be >= 0")
+    return tt, shape
 
 
 def _phase_args(d: NormalizedDensity, t):
@@ -81,8 +95,8 @@ def _phase_args(d: NormalizedDensity, t):
 
 
 def _threshold_phase(d: NormalizedDensity, t: np.ndarray) -> np.ndarray:
-    """e^{-i e_min t/hbar}."""
-    return np.exp(_complex(np.zeros_like(t), -(d.params.e_min * t / d.params.hbar)))
+    """e^{-i e_min t/hbar}; -1j times a finite real x is exactly complex(0, -x)."""
+    return np.exp(-1j * (d.params.e_min * t / d.params.hbar))
 
 
 def _delta(d: NormalizedDensity, t: np.ndarray, e1s_z1: np.ndarray) -> np.ndarray:
@@ -91,37 +105,37 @@ def _delta(d: NormalizedDensity, t: np.ndarray, e1s_z1: np.ndarray) -> np.ndarra
     return d.norm_n * p.gamma0 / TWO_PI * _threshold_phase(d, t) * e1s_z1
 
 
-def _closed_form(d: NormalizedDensity, t: np.ndarray, with_z1: bool = False):
-    """(a(t), est_error, E1s(z1)) on a flat array of t >= 0, from one call
-    of the E1 kernel on [z1; z2].
+_SIGNS = np.array([[1.0], [-1.0]])
 
-    E1s(z1) is evaluated where a(t) needs it, and at every t > 0 when
-    with_z1 is set (the effective Hamiltonian needs it for delta_a);
-    elsewhere it is NaN.
+
+def _closed_form(d: NormalizedDensity, t: np.ndarray, with_z1: bool = False):
+    """(a(t), est_error, E1s(z1)) on a flat array of t >= 0 (t > 0 with
+    with_z1), from one call of the E1 kernel on the rows [z1; z2].
+
+    Every t takes the same array operations, without gathers: where a(t)
+    joins its t = 0 value, the kernel gets z = 1 in place of an argument
+    that is not needed, and the result is replaced.  E1s(z1) is returned
+    where a(t) needs it, and at every t when with_z1 is set (the effective
+    Hamiltonian needs it for delta_a); elsewhere it is E1s(1).
     """
     p = d.params
     u, v = _phase_args(d, t)
-    z1 = _complex(v, -u)
-    z2 = _complex(-v, -u)
+    z = _complex(_SIGNS * v, -u)     # rows z1, z2 = +-v - iu
     # a(t) = 1 - O(t ln t); below this scale the phase arguments
     # degenerate in double precision, so join the exact t = 0 value
     # (written so that a NaN t takes the general path and fails there)
-    general = ~(np.maximum(u, v) < 1e-250)
-    need_z1 = general | (with_z1 & (t > 0))
-    n1 = np.count_nonzero(need_z1)
-    e1s = exp_integral_e1_scaled(np.concatenate([z1[need_z1], z2[general]]))
-    e1s_z1 = np.full_like(z1, np.nan)
-    e1s_z1[need_z1] = e1s[:n1]
-    bracket = e1s[n1:] - e1s_z1[general]
-
-    tg, vg = t[general], v[general]
-    pole = d.norm_n * np.exp(_complex(-vg, -p.e0 * tg / p.hbar))
-    tail = (1j * d.norm_n / TWO_PI) * _threshold_phase(d, tg) * bracket
-    value = np.ones_like(z1)
-    value[general] = pole + tail
-    est = np.where(t == 0.0, 0.0, 1e-240)
-    est[general] = 5e-14 * (1.0 + 2.0 * vg)
-    return value, est, e1s_z1
+    degenerate = np.maximum(u, v) < 1e-250
+    joined = np.count_nonzero(degenerate)
+    if joined:   # z = 1 stands in for z2 there, and for z1 unless delta_a needs it
+        np.copyto(z[1] if with_z1 else z, 1.0, where=degenerate)
+    z1, z2 = exp_integral_e1_scaled(z)
+    pole = d.norm_n * np.exp(_complex(-v, -p.e0 * t / p.hbar))
+    value = pole + (1j * d.norm_n / TWO_PI) * _threshold_phase(d, t) * (z2 - z1)
+    est = 5e-14 * (1.0 + 2.0 * v)
+    if joined:
+        np.copyto(value, 1.0, where=degenerate)
+        np.copyto(est, 1e-240 * (t > 0), where=degenerate)
+    return value, est, z1
 
 
 def amplitude_closed_form(d: NormalizedDensity, t) -> AmplitudeSample:
@@ -129,9 +143,7 @@ def amplitude_closed_form(d: NormalizedDensity, t) -> AmplitudeSample:
 
     t may be a scalar or an array; the whole array costs one E1 call.
     """
-    tt, shape = _flat(t, float)
-    if np.any(tt < 0):
-        raise DomainError("t must be >= 0")
+    tt, shape = _times(t)
     value, est, _ = _closed_form(d, tt)
     return _sample(Route.CLOSED_FORM, tt, shape, value, est)
 
@@ -143,25 +155,26 @@ _TAIL_STEPS = np.linspace(1.0, 0.0, 9)
 _DECAY_KNOTS = np.array([0.25, 0.5, 1.0])
 
 
-def _panels(pole_knots, c_from: float, k: np.ndarray, cut: np.ndarray):
+def _panels(pole_knots, c_from: float, k: np.ndarray, cut: np.ndarray,
+            top: np.ndarray):
     """(lo, hi, point, piece) of the panels of each point: at most 15 per
     point whatever x, as empty ones are dropped.  Piece 2 is in s = 1/w,
     from s = max(k, eps)/40 to 1: below s = k/40 the integrand is under
     e^{-40}, and below s = eps/40 the tail holds under eps/40 of the
-    integral.  Pieces 0 (w) and 1 (from w = c_from on) end at w = 1 or at
-    the cut-off, and have knots at the pole_knots and on the decay.  A
-    point's knots are its 9 in s, ending at 1, then those in w, from 0: a
-    panel that runs backwards, as between the two or on the whole tail
-    when k > 40, is dropped too."""
+    integral.  Pieces 0 (w) and 1 (from w = c_from on) end at
+    top = min(1, cut), w = 1 or the cut-off, and have knots at the
+    pole_knots and on the decay.  A point's knots are its 9 in s, ending
+    at 1, then those in w, from 0: a panel that runs backwards, as between
+    the two or on the whole tail when k > 40, is dropped too."""
     knots = np.empty((k.size, 12 + len(pole_knots)))
-    knots[:, :9] = np.power.outer(np.maximum(k, _EPS) / 40.0, _TAIL_STEPS)
+    np.power((np.maximum(k, _EPS) / 40.0)[:, None], _TAIL_STEPS, out=knots[:, :9])
     w = knots[:, 9:]
     w[:, :-3] = pole_knots
-    w[:, -3:] = np.multiply.outer(cut, _DECAY_KNOTS)
-    np.minimum(w, np.minimum(1.0, cut)[:, None], out=w)
+    np.multiply(cut[:, None], _DECAY_KNOTS, out=w[:, -3:])
+    np.minimum(w, top[:, None], out=w)
     w.sort(axis=1)
     lo, hi = knots[:, :-1].ravel(), knots[:, 1:].ravel()
-    keep = np.flatnonzero(lo < hi)
+    keep = (lo < hi).nonzero()[0]
     lo, hi = lo[keep], hi[keep]
     point, slot = np.divmod(keep, knots.shape[1] - 1)
     return lo, hi, point, np.where(slot < 8, 2, lo >= c_from)
@@ -175,7 +188,7 @@ def _quadrature(d: NormalizedDensity, t: np.ndarray):
     u, v = _phase_args(d, t)
     phase = p.e_min * t / p.hbar
     ok = np.isfinite(u + v + phase)
-    if not ok.all():
+    if not _all(ok):
         value, est = np.full(t.size, np.nan, dtype=complex), np.full(t.size, np.nan)
         value[ok], est[ok] = _quadrature(d, t[ok])
         return value, est
@@ -190,31 +203,36 @@ def _quadrature(d: NormalizedDensity, t: np.ndarray):
     xs, h = p.x / y0, 0.5 / y0
     k = v * (2.0 * y0)
     cut = 40.0 / np.maximum(k, 1e-300)
+    top = np.minimum(1.0, cut)
     subtract = xs < h
     if subtract:
         # a pole narrower than its distance 2h from the other one: from
         # w = h/2 on, c = w - h is exact beside it, and knots sit at it
         # and at its width beyond it
-        lo, hi, point, piece = _panels([0.0, 0.5 * h, h, h + xs, 1.0], 0.5 * h, k, cut)
+        lo, hi, point, piece = _panels([0.0, 0.5 * h, h, h + xs, 1.0], 0.5 * h,
+                                       k, cut, top)
     else:
         # knots at the pole and, while its width xs is at most 1/2, at its
         # width beyond it; a wider pole is far enough from [h, 1] for one
         # panel there
         lo, hi, point, piece = _panels([0.0, h, h + xs if xs <= 0.5 else 1.0, 1.0],
-                                       np.inf, k, cut)
-    # per panel: (a0, a1, b0, b1, g), the subtracted g of the c piece below,
-    # and (n0, n1, n2), of the rows w, c and s
-    linear = np.array([[xs - 1j * h, 1j, xs + 1j * h, 1j, 0.0],
-                       [xs, 1j, xs + 2j * h, 1j, 0.0],
-                       [1j, xs - 1j * h, 1j, xs + 1j * h, 0.0]])[piece]
-    expo = np.array([[0.0, -1.0, 0.0], [-h, -1.0, 0.0], [0.0, 0.0, -1.0]])[piece]
-    expo *= k[point, None]
+                                       np.inf, k, cut, top)
+    # rows (a0, a1, b0, b1, g), the subtracted g of the c piece below, and
+    # (n0, n1, n2), with a column per panel from the columns w, c and s, of
+    # shape (rows, panels, 1) to broadcast over a panel's abscissae
+    linear = np.array([[xs - 1j * h, xs, 1j],
+                       [1j, 1j, xs - 1j * h],
+                       [xs + 1j * h, xs + 2j * h, 1j],
+                       [1j, 1j, xs + 1j * h],
+                       [0.0, 0.0, 0.0]]).take(piece, axis=1)[:, :, None]
+    expo = np.array([[0.0, -h, 0.0], [-1.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
+    expo = (expo.take(piece, axis=1) * k.take(point))[:, :, None]
     unit_pole = np.exp(-(v + 1j * u))
     scale = d.norm_n / (TWO_PI * y0)
     pole = d.norm_n * unit_pole
     pole_size = np.abs(pole)
     phased = pole_size   # the size of the terms that carry the phase e^{-iu}
-    closed = 0.0
+    closed = 0j
     if subtract:
         # the c piece integrates (e^{-k(c + h)}/(xs + i(c + 2h)) - g0)/(xs + i c),
         # where g0 = e^{-v - iu}/(2ih), the pole term's own exponential, is
@@ -224,18 +242,18 @@ def _quadrature(d: NormalizedDensity, t: np.ndarray):
         # Numerical Integration, 2nd ed., 1984)
         g0 = unit_pole / (2j * h)
         c_piece = piece == 1
-        linear[c_piece, 4] = g0[point[c_piece]]
+        linear[4, c_piece, 0] = g0[point[c_piece]]
         lo[c_piece] -= h
         hi[c_piece] -= h
-        c1 = np.minimum(1.0, cut) - h
+        c1 = top - h
         c0 = np.minimum(-0.5 * h, c1)
         closed = (-1j * g0) * _complex(np.log(np.hypot(xs, c1) / np.hypot(xs, c0)),
                                        np.arctan2(c1, xs) - np.arctan2(c0, xs))
         phased = phased + scale * np.abs(closed)
 
     def integrand(c, j):
-        a0, a1, b0, b1, g = linear[j].T[:, :, None]
-        n0, n1, n2 = expo[j].T[:, :, None]
+        a0, a1, b0, b1, g = linear.take(j, axis=1)
+        n0, n1, n2 = expo.take(j, axis=1)
         return (np.exp(n0 + n1 * c + n2 / c) / (b0 + b1 * c) - g) / (a0 + a1 * c)
 
     j, err = quad(integrand, lo, hi, point, k.size)
@@ -263,9 +281,7 @@ def amplitude_quadrature(d: NormalizedDensity, t) -> AmplitudeSample:
     t may be a scalar or an array; the whole array costs one call of
     numerics.quad.
     """
-    tt, shape = _flat(t, float)
-    if np.any(tt < 0):
-        raise DomainError("t must be >= 0")
+    tt, shape = _times(t)
     return _sample(Route.QUADRATURE, tt, shape, *_quadrature(d, tt))
 
 
@@ -276,9 +292,7 @@ def amplitude_asymptotic(d: NormalizedDensity, t, order: int = 2) -> AmplitudeSa
     est_error is the magnitude of the first omitted power term.  t may be
     a scalar or an array.
     """
-    tt, shape = _flat(t, float)
-    if np.any(tt <= 0):
-        raise DomainError("t must be > 0")
+    tt, shape = _times(t, positive=True)
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
     p = d.params
@@ -298,9 +312,7 @@ def delta_amplitude(d: NormalizedDensity, t):
     Logarithmically singular at t = 0 (the model has divergent mean
     energy), hence t > 0 is required.  t may be a scalar or an array.
     """
-    tt, shape = _flat(t, float)
-    if np.any(tt <= 0):
-        raise DomainError("t must be > 0")
+    tt, shape = _times(t, positive=True)
     u, v = _phase_args(d, tt)
     return _unflat(_delta(d, tt, exp_integral_e1_scaled(_complex(v, -u))), shape)
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -14,12 +15,15 @@ from khalfin import (
     amplitude_quadrature,
     decay_law,
     delta_amplitude,
+    effective_hamiltonian,
+    effective_hamiltonian_fd,
+    hamiltonian_asymptotic,
     make_density,
     power_tail_coefficient,
 )
 from khalfin import survival
 from khalfin.effham import _conditioning
-from khalfin.errors import DomainError
+from khalfin.errors import DomainError, RangeOverflowError
 
 EPS = float(np.finfo(float).eps)
 
@@ -305,6 +309,22 @@ def test_domain_errors(d100):
         delta_amplitude(d100, 0.0)
 
 
+@pytest.mark.parametrize("route", [
+    amplitude_closed_form, amplitude_quadrature, amplitude_asymptotic,
+    delta_amplitude, effective_hamiltonian, effective_hamiltonian_fd,
+    hamiltonian_asymptotic], ids=lambda route: route.__name__)
+@pytest.mark.parametrize("bad, error", [(math.inf, RangeOverflowError),
+                                        (math.nan, DomainError)], ids=["inf", "nan"])
+def test_non_finite_t_is_refused_before_any_arithmetic(d100, route, bad, error):
+    # refused at the boundary, alone or inside an array, with no
+    # RuntimeWarning first (CI runs the tests with such warnings as errors)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (bad, np.array([2.0, bad])):
+            with pytest.raises(error):
+                route(d100, t)
+
+
 # ---------------------------------------------------------------------------
 # array inputs
 # ---------------------------------------------------------------------------
@@ -332,6 +352,30 @@ def test_closed_form_array_equals_scalar_calls(x):
     assert s.p.tolist() == [decay_law(d, t) for t in T_MIX.tolist()]
     ts = T_MIX[1:]
     assert delta_amplitude(d, ts).tolist() == [delta_amplitude(d, t) for t in ts.tolist()]
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=complex).view(np.uint64).tolist()
+
+
+_LOG_UNIFORM = st.floats(min_value=-3.0, max_value=4.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    x=st.floats(min_value=-3.0, max_value=6.0).map(lambda e: 10.0 ** e),
+    ts=st.lists(_LOG_UNIFORM, min_size=1, max_size=6),
+)
+def test_array_call_equals_scalar_calls_bit_for_bit(x, ts):
+    # each route runs one array path, so an element's value and estimate
+    # never depend on the rest of the array, t = 0 included
+    d = make_density(0.0, x, 1.0)
+    ts = [0.0] + ts
+    for route in (amplitude_closed_form, amplitude_quadrature):
+        s = route(d, np.array(ts))
+        singles = [route(d, t) for t in ts]
+        assert _bits(s.value) == _bits([r.value for r in singles])
+        assert _bits(s.est_error) == _bits([r.est_error for r in singles])
 
 
 def test_scalar_in_python_scalar_out(d100):
