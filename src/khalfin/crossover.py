@@ -28,13 +28,12 @@ import numpy as np
 
 from .density import NormalizedDensity, _relaxation
 from .errors import ConvergenceError, DomainError
-from .numerics import newton
+from .numerics import _EPS, newton
 
 APPROX_CONSTANT = 8.28
 APPROX_VALIDITY_X = 100.0
 
 _TWO_PI = 2.0 * math.pi
-_EPS = np.finfo(float).eps
 
 
 def _dominance(x):

@@ -27,16 +27,13 @@ from .errors import (
     FitError,
     RangeOverflowError,
 )
-from .numerics import _complex, _unflat
+from .numerics import _complex, _EPS, _unflat
 from .survival import (
     AmplitudeSample,
     _closed_form,
-    _delta,
     _times,
     power_tail_coefficient,
 )
-
-_EPS = np.finfo(float).eps
 
 
 class HamiltonianRoute(enum.Enum):
@@ -90,11 +87,11 @@ def _sample(t, shape, h, route, ill_conditioned) -> HamiltonianSample:
                              _unflat(ill_conditioned, shape))
 
 
-def _exact_ratio(d, t, shape, a, e1s_z1) -> HamiltonianSample:
-    """h = pole + delta_a/a from a(t) and E1s(z1) of one closed-form call."""
+def _exact_ratio(d, t, shape, a, delta) -> HamiltonianSample:
+    """h = pole + delta_a/a from a(t) and delta_a(t) of one closed-form call."""
     a_abs = np.abs(a)
     _require_nonvanishing(t, a_abs)
-    h = d.params.pole + _delta(d, t, e1s_z1) / a
+    h = d.params.pole + delta / a
     return _sample(t, shape, h, HamiltonianRoute.EXACT_RATIO,
                    _conditioning(d, t, a_abs))
 
@@ -106,8 +103,8 @@ def effective_hamiltonian(d: NormalizedDensity, t) -> HamiltonianSample:
     call on [z1; z2], delta_a reusing E1s(z1) of the amplitude.
     """
     tt, shape = _times(t, positive=True)
-    a, _, e1s_z1 = _closed_form(d, tt, with_z1=True)
-    return _exact_ratio(d, tt, shape, a, e1s_z1)
+    a, _, delta = _closed_form(d, tt, with_delta=True)
+    return _exact_ratio(d, tt, shape, a, delta)
 
 
 def effective_hamiltonian_fd(d: NormalizedDensity, t, with_exact: bool = False):
@@ -127,7 +124,7 @@ def effective_hamiltonian_fd(d: NormalizedDensity, t, with_exact: bool = False):
         raise DomainError("t too small for the finite-difference stencil")
     half = 0.5 * step
     stencil = np.concatenate([tt, tt + step, tt - step, tt + half, tt - half])
-    values, _, e1s_z1 = _closed_form(d, stencil, with_z1=with_exact)
+    values, _, delta = _closed_form(d, stencil, with_delta=with_exact)
     a, ap, am, ahp, ahm = values.reshape(5, -1)
     a_abs = np.abs(a)
     _require_nonvanishing(tt, a_abs)
@@ -139,7 +136,7 @@ def effective_hamiltonian_fd(d: NormalizedDensity, t, with_exact: bool = False):
                  _conditioning(d, tt, a_abs))
     if not with_exact:
         return fd
-    return _exact_ratio(d, tt, shape, a, e1s_z1[:tt.size]), fd
+    return _exact_ratio(d, tt, shape, a, delta[:tt.size]), fd
 
 
 def hamiltonian_asymptotic(d: NormalizedDensity, t) -> HamiltonianSample:

@@ -2,9 +2,9 @@
 
 Provides the complex exponential integral E1 (plain and overflow-safe
 scaled form e^z E1(z)); the array Newton iteration of the package, and on
-it the real branches 0 and -1 of Lambert W, over arrays; and an adaptive
-Gauss-Kronrod rule that integrates arrays of panels in one array pass per
-bisection level, for the quadrature route.
+it the real branches 0 and -1 of Lambert W, over arrays; and a
+Gauss-Kronrod rule that integrates arrays of panels in one array pass,
+for the quadrature route, whose panels must resolve the integrand.
 
 All functions here are pure; nothing holds mutable state.
 """
@@ -317,7 +317,7 @@ def lambert_w(branch: int, x):
 
 
 # ---------------------------------------------------------------------------
-# adaptive Gauss-Kronrod quadrature over arrays of panels
+# Gauss-Kronrod quadrature over arrays of panels
 # ---------------------------------------------------------------------------
 
 @functools.cache
@@ -358,29 +358,23 @@ def _gauss_kronrod(n: int):
 # 31 points: a panel's error estimate is the 15-point Gauss rule's error,
 # far above that of the 31-point rule whose value is kept
 _GAUSS_POINTS = 15
-_PANEL_REL = 1e-14    # a panel's target, relative to the first pass's sum of |panel|
 _ROUNDING = 50 * _EPS  # least estimate, relative to the integral of |f| (as QUADPACK)
-_PASSES = 30          # bisection levels
-_PANEL_LIMIT = 200    # panels per point
 _ACCEPT_REL = 1e-10   # a point's summed estimate is accepted up to this of |value|
 
 
 def quad(f, lo, hi, point, npoints: int):
-    """Adaptive Gauss-Kronrod sums: (value, error estimate), two arrays of
-    length npoints, where value[i] sums the integrals of f over the panels
-    [lo[j], hi[j]] with point[j] == i.
+    """Gauss-Kronrod sums in one pass: (value, error estimate), two arrays
+    of length npoints, where value[i] sums the integrals of f over the
+    panels [lo[j], hi[j]] with point[j] == i.
 
-    f(u, j) takes abscissae u of shape (m, 31), row r in panel j[r] (or a
-    part of it), and returns f there as an array of the same shape.  Every
-    panel runs through the rule in one array pass: one call of f and a
-    fixed number of array operations, whatever the number of panels; the
-    per-point panel counts of bisection are kept only once a panel splits.
-    A panel whose Gauss minus Kronrod difference exceeds _PANEL_REL of its
-    point's sum of |panel| is bisected, and its halves run in the next
-    pass, for at most _PASSES passes and _PANEL_LIMIT panels per point.  A
-    panel's error estimate is that difference, but at least _ROUNDING times
-    the integral of |f| over it.  Each point's panels are summed in a fixed order, so
-    its value never depends on the other points.
+    f(u) takes abscissae u of shape (panels, 31), row j in panel j, and
+    returns f there as an array of the same shape.  Every panel runs
+    through the rule together: one call of f and a fixed number of array
+    operations, whatever the number of panels.  Nothing is bisected, so
+    the caller's panels must resolve f.  A panel's error estimate is its
+    Gauss minus Kronrod difference, but at least _ROUNDING times the
+    integral of |f| over it.  Each point's panels are summed in array
+    order, so its value never depends on the other points.
 
     Raises ConvergenceError when f is not finite, or a point's summed
     estimate is not within _ACCEPT_REL of its |value|.
@@ -388,41 +382,18 @@ def quad(f, lo, hi, point, npoints: int):
     nodes, weights, null_weights = _gauss_kronrod(_GAUSS_POINTS)
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     point = np.asarray(point)
-    panel = np.arange(lo.size)
-    kept = []        # (point, value, estimate) of the panels each pass keeps
-    for level in range(_PASSES):
-        half = 0.5 * (hi - lo)
-        mid = lo + half
-        fu = f(mid[:, None] + half[:, None] * nodes, panel)
-        resabs = (np.abs(fu) * weights).sum(axis=1)
-        finite = np.isfinite(resabs)
-        if not _all(finite):
-            k = np.flatnonzero(~finite)[0]
-            raise ConvergenceError(f"quadrature: the integrand is not finite on "
-                                   f"[{lo[k]:g}, {hi[k]:g}]")
-        value = half * (fu * weights).sum(axis=1)
-        gap = half * np.abs((fu * null_weights).sum(axis=1))
-        est = np.maximum(gap, _ROUNDING * half * resabs)
-        if not level:
-            target = _PANEL_REL * np.bincount(point, np.abs(value), npoints)
-        split = gap > target[point]
-        if level + 1 == _PASSES or not np.count_nonzero(split):
-            kept.append((point, value, est))
-            break
-        if not level:   # a later pass runs only if this one split
-            panels = np.bincount(point, minlength=npoints)
-        grown = panels + np.bincount(point[split], minlength=npoints)
-        split &= grown[point] <= _PANEL_LIMIT
-        panels = np.where(grown <= _PANEL_LIMIT, grown, panels)
-        keep = ~split
-        kept.append((point[keep], value[keep], est[keep]))
-        lo, mid, hi = lo[split], mid[split], hi[split]
-        lo, hi = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
-        panel, point = np.repeat(panel[split], 2), np.repeat(point[split], 2)
-    if len(kept) > 1:
-        point, value, est = map(np.concatenate, zip(*kept))
-    # bincount adds each point's panels in array order: the order of the
-    # passes that kept them, then of the panels within a pass
+    half = 0.5 * (hi - lo)
+    mid = lo + half
+    fu = f(mid[:, None] + half[:, None] * nodes)
+    resabs = (np.abs(fu) * weights).sum(axis=1)
+    finite = np.isfinite(resabs)
+    if not _all(finite):
+        k = np.flatnonzero(~finite)[0]
+        raise ConvergenceError(f"quadrature: the integrand is not finite on "
+                               f"[{lo[k]:g}, {hi[k]:g}]")
+    value = half * (fu * weights).sum(axis=1)
+    est = np.maximum(half * np.abs((fu * null_weights).sum(axis=1)),
+                     _ROUNDING * half * resabs)
     total = _complex(np.bincount(point, value.real, npoints),
                      np.bincount(point, value.imag, npoints))
     err = np.bincount(point, est, npoints)

@@ -218,7 +218,7 @@ def crossover_time(line: SpectralLine) -> float:
 def asymptotic_energy(line: SpectralLine, t: float) -> float:
     """Instantaneous energy at late time t:
     e_min - 2 (e0 - e_min) hbar^2 / (|pole - e_min|^2 t^2)."""
-    if t <= 0:
+    if not t > 0:
         raise DomainError("t must be > 0")
     if line.params.x >= 1.0 and t < crossover_time(line):
         warnings.warn(
@@ -234,7 +234,7 @@ def energy_difference_asymptotic(l1: SpectralLine, l2: SpectralLine,
                                  t: float) -> float:
     """Late-time energy difference of two lines sharing one threshold;
     shrinks exactly as 1/t^2."""
-    if t <= 0:
+    if not t > 0:
         raise DomainError("t must be > 0")
     _require_common_e_min(l1, l2)
     g1 = relaxation_coefficient(l1)
@@ -287,7 +287,7 @@ def observed_line_table(catalog: LineCatalog, frame: DopplerFrame,
     check; RangeOverflowError names the first line whose e_inf leaves the
     double range.
     """
-    if t <= 0:
+    if not t > 0:
         raise DomainError("t must be > 0")
     k = frame.kappa
     e0, gamma0, e_min, hbar = catalog.resolved_columns()

@@ -87,39 +87,42 @@ def _times(t, positive: bool = False):
     return tt, shape
 
 
-def _phase_args(d: NormalizedDensity, t):
+def _phase_args(d: NormalizedDensity, t: np.ndarray) -> np.ndarray:
+    """The rows (u, v, e0 t/hbar, e_min t/hbar) on flat t, the phase
+    arguments of every route, formed only here.  RangeOverflowError names
+    the first t where one leaves the double range, before any arithmetic
+    on them can warn; -1j times a finite row is exactly complex(0, -row)."""
     p = d.params
-    u = (p.e0 - p.e_min) * t / p.hbar
-    v = 0.5 * p.gamma0 * t / p.hbar
-    return u, v
+    coeffs = np.array([[p.e0 - p.e_min], [0.5 * p.gamma0], [p.e0], [p.e_min]])
+    with np.errstate(over="ignore"):
+        args = coeffs * t / p.hbar
+    ok = np.isfinite(args)
+    if not _all(ok):
+        k = np.flatnonzero(~ok.all(axis=0))[0]
+        raise RangeOverflowError(f"t = {t[k]:g}: the phase arguments are out of the "
+                                 "double range")
+    return args
 
 
-def _threshold_phase(d: NormalizedDensity, t: np.ndarray) -> np.ndarray:
-    """e^{-i e_min t/hbar}; -1j times a finite real x is exactly complex(0, -x)."""
-    return np.exp(-1j * (d.params.e_min * t / d.params.hbar))
-
-
-def _delta(d: NormalizedDensity, t: np.ndarray, e1s_z1: np.ndarray) -> np.ndarray:
-    """delta_a(t) from E1s(z1)."""
-    p = d.params
-    return d.norm_n * p.gamma0 / TWO_PI * _threshold_phase(d, t) * e1s_z1
+def _delta(d: NormalizedDensity, threshold: np.ndarray, e1s_z1: np.ndarray) -> np.ndarray:
+    """delta_a(t) from the threshold phase and E1s(z1)."""
+    return d.norm_n * d.params.gamma0 / TWO_PI * threshold * e1s_z1
 
 
 _SIGNS = np.array([[1.0], [-1.0]])
 
 
-def _closed_form(d: NormalizedDensity, t: np.ndarray, with_z1: bool = False):
-    """(a(t), est_error, E1s(z1)) on a flat array of t >= 0 (t > 0 with
-    with_z1), from one call of the E1 kernel on the rows [z1; z2].
+def _closed_form(d: NormalizedDensity, t: np.ndarray, with_delta: bool = False):
+    """(a(t), est_error, delta_a(t) or None) on a flat array of t >= 0
+    (t > 0 with with_delta), from one call of the E1 kernel on the rows
+    [z1; z2].
 
     Every t takes the same array operations, without gathers: where a(t)
     joins its t = 0 value, the kernel gets z = 1 in place of an argument
-    that is not needed, and the result is replaced.  E1s(z1) is returned
-    where a(t) needs it, and at every t when with_z1 is set (the effective
-    Hamiltonian needs it for delta_a); elsewhere it is E1s(1).
+    that is not needed, and the result is replaced.  With with_delta set
+    (the effective Hamiltonian needs it) delta_a reuses E1s(z1) of a(t).
     """
-    p = d.params
-    u, v = _phase_args(d, t)
+    u, v, e0_t, e_min_t = _phase_args(d, t)
     z = _complex(_SIGNS * v, -u)     # rows z1, z2 = +-v - iu
     # a(t) = 1 - O(t ln t); below this scale the phase arguments
     # degenerate in double precision, so join the exact t = 0 value
@@ -127,15 +130,16 @@ def _closed_form(d: NormalizedDensity, t: np.ndarray, with_z1: bool = False):
     degenerate = np.maximum(u, v) < 1e-250
     joined = np.count_nonzero(degenerate)
     if joined:   # z = 1 stands in for z2 there, and for z1 unless delta_a needs it
-        np.copyto(z[1] if with_z1 else z, 1.0, where=degenerate)
+        np.copyto(z[1] if with_delta else z, 1.0, where=degenerate)
     z1, z2 = exp_integral_e1_scaled(z)
-    pole = d.norm_n * np.exp(_complex(-v, -p.e0 * t / p.hbar))
-    value = pole + (1j * d.norm_n / TWO_PI) * _threshold_phase(d, t) * (z2 - z1)
+    pole = d.norm_n * np.exp(_complex(-v, -e0_t))
+    threshold = np.exp(-1j * e_min_t)
+    value = pole + (1j * d.norm_n / TWO_PI) * threshold * (z2 - z1)
     est = 5e-14 * (1.0 + 2.0 * v)
     if joined:
         np.copyto(value, 1.0, where=degenerate)
         np.copyto(est, 1e-240 * (t > 0), where=degenerate)
-    return value, est, z1
+    return value, est, _delta(d, threshold, z1) if with_delta else None
 
 
 def amplitude_closed_form(d: NormalizedDensity, t) -> AmplitudeSample:
@@ -182,16 +186,9 @@ def _panels(pole_knots, c_from: float, k: np.ndarray, cut: np.ndarray,
 
 def _quadrature(d: NormalizedDensity, t: np.ndarray):
     """(a(t), est_error) of the quadrature route on a flat array of t >= 0,
-    from one call of numerics.quad; NaN, which _sample refuses, where the
-    phase arguments overflow."""
+    from one call of numerics.quad."""
     p = d.params
-    u, v = _phase_args(d, t)
-    phase = p.e_min * t / p.hbar
-    ok = np.isfinite(u + v + phase)
-    if not _all(ok):
-        value, est = np.full(t.size, np.nan, dtype=complex), np.full(t.size, np.nan)
-        value[ok], est[ok] = _quadrature(d, t[ok])
-        return value, est
+    u, v, _, phase = _phase_args(d, t)
     # y in units of y0 = 1 + x, so that nothing overflows: w = y/y0 on
     # [0, 1], with the pole of width xs at w = h, and s = 1/w on (0, 1].
     # In its variable u, each piece's integrand is
@@ -201,7 +198,10 @@ def _quadrature(d: NormalizedDensity, t: np.ndarray):
     #   s: e^{-k/s} / ((xs s + i(1 - h s)) (xs s + i(1 + h s)))
     y0 = 1.0 + p.x
     xs, h = p.x / y0, 0.5 / y0
-    k = v * (2.0 * y0)
+    # where v (1 + x) passes the double range, k = inf: e^{-k w} is 0 past
+    # w = 0, and cut = 0 leaves the point no panels
+    with np.errstate(over="ignore"):
+        k = v * (2.0 * y0)
     cut = 40.0 / np.maximum(k, 1e-300)
     top = np.minimum(1.0, cut)
     subtract = xs < h
@@ -251,9 +251,10 @@ def _quadrature(d: NormalizedDensity, t: np.ndarray):
                                        np.arctan2(c1, xs) - np.arctan2(c0, xs))
         phased = phased + scale * np.abs(closed)
 
-    def integrand(c, j):
-        a0, a1, b0, b1, g = linear.take(j, axis=1)
-        n0, n1, n2 = expo.take(j, axis=1)
+    a0, a1, b0, b1, g = linear
+    n0, n1, n2 = expo
+
+    def integrand(c):
         return (np.exp(n0 + n1 * c + n2 / c) / (b0 + b1 * c) - g) / (a0 + a1 * c)
 
     j, err = quad(integrand, lo, hi, point, k.size)
@@ -295,10 +296,9 @@ def amplitude_asymptotic(d: NormalizedDensity, t, order: int = 2) -> AmplitudeSa
     tt, shape = _times(t, positive=True)
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
-    p = d.params
-    u, v = _phase_args(d, tt)
-    pole = d.norm_n * np.exp(_complex(-v, -p.e0 * tt / p.hbar))
-    pref = (1j * d.norm_n / TWO_PI) * _threshold_phase(d, tt)
+    u, v, e0_t, e_min_t = _phase_args(d, tt)
+    pole = d.norm_n * np.exp(_complex(-v, -e0_t))
+    pref = (1j * d.norm_n / TWO_PI) * np.exp(-1j * e_min_t)
     terms = pref * (_e1s_asym_terms(_complex(-v, -u), order)
                     - _e1s_asym_terms(_complex(v, -u), order))
     value = pole + terms[:order].sum(axis=0)
@@ -313,8 +313,9 @@ def delta_amplitude(d: NormalizedDensity, t):
     energy), hence t > 0 is required.  t may be a scalar or an array.
     """
     tt, shape = _times(t, positive=True)
-    u, v = _phase_args(d, tt)
-    return _unflat(_delta(d, tt, exp_integral_e1_scaled(_complex(v, -u))), shape)
+    u, v, _, e_min_t = _phase_args(d, tt)
+    return _unflat(_delta(d, np.exp(-1j * e_min_t),
+                          exp_integral_e1_scaled(_complex(v, -u))), shape)
 
 
 def decay_law(d: NormalizedDensity, t):

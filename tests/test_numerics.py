@@ -371,7 +371,7 @@ def test_lambert_domain_errors():
 
 
 # ---------------------------------------------------------------------------
-# adaptive Gauss-Kronrod quadrature
+# Gauss-Kronrod quadrature in one pass
 # ---------------------------------------------------------------------------
 
 def test_gauss_kronrod_rule_is_exact_to_degree_3n_plus_1():
@@ -392,8 +392,8 @@ def test_gauss_kronrod_rule_is_exact_to_degree_3n_plus_1():
 
 
 def _pieces(*fs):
-    """f(u, j) of quad that applies fs[j] to panel j's abscissae."""
-    return lambda u, j: np.stack([fs[i](row) for i, row in zip(j, u)]).astype(complex)
+    """f(u) of quad that applies fs[j] to panel j's abscissae."""
+    return lambda u: np.stack([f(row) for f, row in zip(fs, u)]).astype(complex)
 
 
 def test_quad_sums_complex_pieces():
@@ -413,9 +413,9 @@ def test_quad_sums_complex_pieces():
 def test_quad_non_finite_integrand_raises(value):
     # the process must not crash; both fail as a ConvergenceError
     with pytest.raises(ConvergenceError, match="quadrature"):
-        quad(lambda u, j: np.full(u.shape, value), [0.0], [1.0], [0], 1)
+        quad(lambda u: np.full(u.shape, value), [0.0], [1.0], [0], 1)
     with pytest.raises(ConvergenceError, match="quadrature"):
-        quad(lambda u, j: np.full(u.shape, complex(1.0, value)), [0.0], [1.0], [0], 1)
+        quad(lambda u: np.full(u.shape, complex(1.0, value)), [0.0], [1.0], [0], 1)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -423,7 +423,7 @@ def test_quad_non_finite_integrand_raises(value):
 def test_oscillatory_non_finite_integrand_raises(value, freq):
     # a non-finite factor of an oscillatory integrand f(u) e^{-i freq u}, as
     # the quadrature route integrates it, fails as a ConvergenceError
-    def f(u, j):
+    def f(u):
         with np.errstate(invalid="ignore"):   # inf times 1 + 0j is inf + nan j
             return value * np.exp(-1j * freq * u)
 
@@ -432,40 +432,40 @@ def test_oscillatory_non_finite_integrand_raises(value, freq):
 
 
 def test_quad_divergent_piece_raises():
-    # int_0^1 du/u diverges: bisection toward 0 never meets the target, and
-    # the Gauss-Kronrod difference stays about its share of the sum
+    # int_0^1 du/u diverges: the Gauss-Kronrod difference of its panel is
+    # about its share of the sum, far above the acceptance bound
     with pytest.raises(ConvergenceError, match="quadrature"):
         quad(_pieces(lambda u: np.exp(-u), lambda u: 1.0 / u), [0.0, 0.0], [1.0, 1.0],
              [0, 0], 1)
 
 
-def test_quad_bisects_a_point_into_at_most_200_panels():
-    # e^{i 1e5 u} on [0, 1] would need thousands of panels: bisection
-    # stops before a point holds more than 200, and the estimate is refused
-    panels = []
+@pytest.mark.parametrize("f", [lambda u: np.exp(-40.0 * u), lambda u: np.exp(1e5j * u)],
+                         ids=["steep", "oscillatory"])
+def test_quad_refuses_an_under_resolved_integrand(f):
+    # nothing is bisected: e^{-40 u} on the one panel [0, 1] leaves an
+    # estimate of about 1e-8 of its value, and e^{i 1e5 u} one of its own
+    # size, so both points are refused rather than refined
+    calls = []
 
-    def f(u, j):
-        panels.append(u.shape[0])
-        return np.exp(1e5j * u)
+    def counted(u):
+        calls.append(u.shape)
+        return f(u)
 
-    with pytest.raises(ConvergenceError, match="quadrature"):
-        quad(f, [0.0], [1.0], [0], 1)
-    assert 100 < max(panels) <= 200
+    with pytest.raises(ConvergenceError, match="not accepted"):
+        quad(counted, [0.0], [1.0], [0], 1)
+    assert calls == [(1, 31)]
 
 
-def test_quad_bisects_only_where_the_target_is_missed():
-    # e^{-40 u} on [0, 1] misses the target on one panel; the smooth
-    # point beside it keeps its one panel, and its value does not depend
-    # on being integrated with the other
-    panels = []
-
-    def f(u, j):
-        panels.append(u.shape[0])
-        return np.exp(np.where(j[:, None] == 0, -40.0, -1.0) * u)
-
-    value, err = quad(f, [0.0, 0.0], [1.0, 1.0], [0, 1], 2)
-    assert panels[0] == 2 and len(panels) > 1
-    assert abs(value[0] - (1.0 - math.exp(-40.0)) / 40.0) <= 2 * EPS / 40.0
-    assert abs(value[1] - (1.0 - math.exp(-1.0))) <= EPS
-    alone = quad(lambda u, j: np.exp(-u), [0.0], [1.0], [0], 1)
-    assert alone[0][0] == value[1] and alone[1][0] == err[1]
+def test_quad_point_equals_its_lone_call():
+    # a point's value and estimate do not depend on the panels of the
+    # other points integrated with it, bit for bit
+    fs = [lambda u: np.exp(-3.0 * u), lambda u: np.exp(-3.0 * u), np.exp,
+          lambda u: np.cos(u) + 1j * np.sin(2.0 * u)]
+    lo, hi, point = [0.0, 0.5, 0.0, 1.0], [0.5, 1.0, 1.0, 2.0], [0, 0, 1, 2]
+    value, err = quad(_pieces(*fs), lo, hi, point, 3)
+    for i in range(3):
+        mine = [j for j, p in enumerate(point) if p == i]
+        alone = quad(_pieces(*[fs[j] for j in mine]), [lo[j] for j in mine],
+                     [hi[j] for j in mine], [0] * len(mine), 1)
+        assert alone[0][0] == value[i] and alone[1][0] == err[i]
+    assert abs(value[0] - (1.0 - math.exp(-3.0)) / 3.0) <= 2 * EPS

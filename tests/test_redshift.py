@@ -221,6 +221,19 @@ def test_energy_difference_requires_common_threshold():
         energy_difference_asymptotic(l1, l2, 100.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda t, cat: asymptotic_energy(cat.lines[0], t),
+    lambda t, cat: energy_difference_asymptotic(cat.lines[0], cat.lines[1], t),
+    lambda t, cat: observed_line_table(cat, DopplerFrame(0.1), t),
+], ids=["asymptotic_energy", "energy_difference_asymptotic", "observed_line_table"])
+@pytest.mark.parametrize("t", [math.nan, 0.0, -1.0])
+def test_late_time_energies_refuse_a_t_that_is_not_positive(demo_catalog_path, call, t):
+    # a NaN age is a domain error like t <= 0, not a nan energy or an
+    # overflow
+    with pytest.raises(DomainError, match="t must be > 0"):
+        call(t, load_catalog(demo_catalog_path))
+
+
 def test_ratio_diagnostic_time_independent_and_distinct():
     l1, l2 = _line("a", 1.0, 0.01), _line("b", 2.0, 0.02)
     l3, l4 = _line("c", 3.0, 0.01), _line("d", 4.0, 0.04)
