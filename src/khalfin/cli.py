@@ -2,18 +2,19 @@
 
 Subcommands: amplitude | hamiltonian | crossover | redshift.  Parameters
 come from an optional JSON config document; every flag overrides the
-corresponding config field.  Output is CSV (comma separator, '.'
-decimal, mandatory header) or JSON (one line, {"meta": ..., "rows": ...}
-with sorted keys), with shortest-round-trip float formatting so repeated
-runs are byte identical.
+corresponding config field.  Flags are read straight from the table
+_PARAMS, as "--flag value" or "--flag=value", in full or by a unique
+prefix; a value may be a negative number; -h or --help prints a usage
+line.  Output is CSV (comma separator, '.' decimal, mandatory header) or
+JSON (one line, {"meta": ..., "rows": ...} with sorted keys), with
+shortest-round-trip float formatting so repeated runs are byte identical.
 
-Exit status: 0 success, 2 configuration/validation error, 3 numerical
-failure.
+Exit status: 0 success, 2 configuration/validation error (a refused argv
+among them), 3 numerical failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
@@ -175,19 +176,19 @@ def _lookup(doc, path: str):
     return doc
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
+def _run_config(args: dict) -> RunConfig:
     """The checked parameters, each from its flag, else from the config."""
     doc = {}
-    if args.config is not None:
+    if "config" in args:
         try:
-            with open(args.config) as fh:
+            with open(args["config"]) as fh:
                 doc = json.load(fh)
         # ValueError: not JSON or not UTF-8; RecursionError: nested too deep
         except (OSError, ValueError, RecursionError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+            raise ConfigError(f"cannot read config {args['config']}: {exc}") from exc
     values = {}
     for p in _PARAMS:
-        v = getattr(args, p.field, None)
+        v = args.get(p.field)
         if v is None and p.path is not None:
             v = _lookup(doc, p.path)
         if v is not None:
@@ -331,48 +332,73 @@ def cmd_redshift(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-# argparse takes an argument for a value rather than an option when it
-# matches this; its own pattern (^-\d+$|^-\d*\.\d+$ through Python 3.12)
-# has no exponent, so "--emin -1e3" found no value
+# a token after a flag that starts with "-" is the flag's value only if
+# it is a negative number like this one, in exponent form too
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="khalfin",
-        description="Long-time survival amplitude, effective Hamiltonian, "
-                    "crossover time and spectral-line observables of the "
-                    "truncated Breit-Wigner model.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p._negative_number_matcher = _NEGATIVE_NUMBER
-        p.add_argument("--config")
-        for param in (q for q in _PARAMS if q.only in (None, name)):
-            for flag, parse in param.flags.items():
-                how = (dict(type=parse) if callable(parse)
-                       else dict(action="store_const", const=parse))
-                p.add_argument(flag, dest=param.field, **how)
-    return parser
-
-
 _COMMANDS = {"amplitude": cmd_amplitude, "hamiltonian": cmd_hamiltonian,
              "crossover": cmd_crossover, "redshift": cmd_redshift}
-# built once: parse_args keeps no state, and a build costs ~2 ms per call
-_PARSER = _build_parser()
+# each flag of the top level (None) and of each subcommand, and its
+# (field, parse) row: the function that reads its text, or a constant
+_HELP = {"-h": ("help", True), "--help": ("help", True)}
+_FLAGS = {None: _HELP, **{name: {**_HELP, "--config": ("config", str), **{
+    flag: (p.field, parse) for p in _PARAMS if p.only in (None, name)
+    for flag, parse in p.flags.items()}} for name in _COMMANDS}}
+
+
+def _flag(flags: dict, token: str):
+    """(flag, row, the text after "=" or None) of the flag that token
+    names, in full or by a unique prefix after "--"; None if it names none."""
+    name, eq, text = token.partition("=")
+    hits = [name] if name in flags else [f for f in flags if f.startswith(name)
+                                         and name.startswith("--") and name != "--"]
+    if len(hits) > 1:
+        raise ConfigError(f"ambiguous flag {name}: it could be {', '.join(hits)}")
+    return (hits[0], flags[hits[0]], text if eq else None) if hits else None
+
+
+def _parse(argv) -> dict:
+    """{field: value} of the flags in argv, with "command": argv[0].  The
+    last of a repeated flag wins; an unknown or stray token is refused
+    unless a -h follows, and past a -h only an ambiguous flag is."""
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args, stray = {"command": command}, None
+    tokens = iter(argv[1:] if command else argv[:1])
+    for token in tokens:
+        hit = _flag(_FLAGS[command], token)
+        if hit is None or "help" in args:
+            stray = stray or token
+            continue
+        flag, (field, parse), text = hit
+        if not callable(parse) and text is not None:
+            raise ConfigError(f"{flag} takes no value")
+        if callable(parse) and text is None:
+            text = next(tokens, "-")   # "-": none is left
+            if text[:1] == "-" and not _NEGATIVE_NUMBER.match(text):
+                raise ConfigError(f"{flag} needs a value")
+        try:
+            args[field] = parse(text) if callable(parse) else parse
+        except ValueError:
+            raise ConfigError(f"{flag} cannot read {text!r}") from None
+    if "help" not in args and (command is None or stray is not None):
+        raise ConfigError(f"{command} takes no {stray!r}" if command else
+                          f"the first argument is a subcommand: {', '.join(_COMMANDS)}")
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if "help" in args:   # the usage line
+            command = args["command"]
+            print("usage: khalfin", command or "{" + ",".join(_COMMANDS) + "}", "[-h]",
+                  *(f"[{flag} {field.upper()}]" if callable(parse) else f"[{flag}]"
+                    for flag, (field, parse) in _FLAGS[command].items()
+                    if field != "help"))
+            return EXIT_OK
         cfg = _run_config(args)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return _COMMANDS[args.command](cfg)
+            return _COMMANDS[args["command"]](cfg)
     except (ConfigError, CatalogError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

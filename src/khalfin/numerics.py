@@ -169,7 +169,8 @@ def _e1(z: np.ndarray, scaled: bool) -> np.ndarray:
     """E1 (or e^z E1 when scaled) of a flat complex array, checked against
     the domain first, with one pass of each branch over its own elements."""
     r = np.abs(z)
-    s = r + z.real
+    with np.errstate(over="ignore"):   # inf near the double range: the cf branch
+        s = r + z.real
     # z = 0 and the negative real axis have |z| + Re z = 0, as have points
     # a rounding away from the axis; only those get the exact tests
     if np.count_nonzero(s == 0.0):

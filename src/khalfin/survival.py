@@ -135,7 +135,8 @@ def _closed_form(d: NormalizedDensity, t: np.ndarray, with_delta: bool = False):
     pole = d.norm_n * np.exp(_complex(-v, -e0_t))
     threshold = np.exp(-1j * e_min_t)
     value = pole + (1j * d.norm_n / TWO_PI) * threshold * (z2 - z1)
-    est = 5e-14 * (1.0 + 2.0 * v)
+    with np.errstate(over="ignore"):   # inf, refused by _sample
+        est = 5e-14 * (1.0 + 2.0 * v)
     if joined:
         np.copyto(value, 1.0, where=degenerate)
         np.copyto(est, 1e-240 * (t > 0), where=degenerate)
@@ -198,10 +199,11 @@ def _quadrature(d: NormalizedDensity, t: np.ndarray):
     #   s: e^{-k/s} / ((xs s + i(1 - h s)) (xs s + i(1 + h s)))
     y0 = 1.0 + p.x
     xs, h = p.x / y0, 0.5 / y0
-    # where v (1 + x) passes the double range, k = inf: e^{-k w} is 0 past
-    # w = 0, and cut = 0 leaves the point no panels
     with np.errstate(over="ignore"):
         k = v * (2.0 * y0)
+    if not _all(np.isfinite(k)):
+        raise RangeOverflowError(f"quadrature route: at t = {t[~np.isfinite(k)][0]:g}, "
+                                 "k = 2v(1 + x) is out of the double range")
     cut = 40.0 / np.maximum(k, 1e-300)
     top = np.minimum(1.0, cut)
     subtract = xs < h

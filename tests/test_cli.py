@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from khalfin import ResonanceParams, SpectralLine, cli
 from khalfin.cli import _PARAMS, EXIT_CONFIG, EXIT_OK, main
+from khalfin.errors import ConfigError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -297,8 +298,8 @@ def test_redshift_default_age_out_of_range_is_a_config_error(
 
 
 def test_parser_error_leaves_no_state(capsys):
-    # the parser is built once per process; a failed parse must not
-    # change what a later valid call prints
+    # the flag tables are built once per process, at import; a failed
+    # parse must not change what a later valid call prints
     valid = ("crossover", "--x", "1000", "--format", "json")
     alone = run(capsys, *valid)
     assert run(capsys, "crossover", "--x", "abc")[0] == EXIT_CONFIG
@@ -567,7 +568,7 @@ def _config_of(argv, tmp_path, doc=None):
     if doc is not None:
         (tmp_path / "run.json").write_text(json.dumps(doc))
         argv = [*argv, "--config", str(tmp_path / "run.json")]
-    return cli._run_config(cli._PARSER.parse_args(["amplitude", *argv]))
+    return cli._run_config(cli._parse(["amplitude", *argv]))
 
 
 def _doc(path, value):
@@ -603,10 +604,89 @@ _OPTIONS = ["--beta", "--catalog", "--config", "--e0", "--emin", "--format",
     ("crossover", []), ("redshift", []),
 ])
 def test_subcommand_options_are_unchanged(command, extra):
-    sub = next(a for a in cli._PARSER._actions
-               if isinstance(a, argparse._SubParsersAction))
-    got = [s for a in sub.choices[command]._actions for s in a.option_strings]
-    assert sorted(got) == sorted(_OPTIONS + extra)
+    assert sorted(cli._FLAGS[command]) == sorted(_OPTIONS + extra)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser that cli._parse replaced, built from the same
+    table: the reference that the differential property below holds it to."""
+    parser = argparse.ArgumentParser(prog="khalfin")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in cli._COMMANDS:
+        p = sub.add_parser(name)
+        # argparse's own pattern for a negative number has no exponent
+        p._negative_number_matcher = cli._NEGATIVE_NUMBER
+        p.add_argument("--config")
+        for param in (q for q in _PARAMS if q.only in (None, name)):
+            for flag, parse in param.flags.items():
+                how = (dict(type=parse) if callable(parse)
+                       else dict(action="store_const", const=parse))
+                p.add_argument(flag, dest=param.field, **how)
+    return parser
+
+
+_REFERENCE = _build_parser()
+
+
+def _read(parse, argv):
+    """What parse reads from argv: {field: repr(value)} of the fields it
+    sets, the subcommand among them, or the exit status, 2 for a refused
+    argv and 0 for a request for help."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            fields = parse(argv)
+        except SystemExit as exc:   # from the reference
+            return exc.code
+        except ConfigError:
+            return EXIT_CONFIG
+    if isinstance(fields, argparse.Namespace):
+        fields = vars(fields)
+    elif "help" in fields:
+        return EXIT_OK
+    return {k: repr(v) for k, v in fields.items() if v is not None}
+
+
+_FLAG_NAMES = sorted({flag for flags in cli._FLAGS.values() for flag in flags})
+# every prefix of three characters or more of a "--" flag: the flag itself,
+# a unique prefix ("--emi") or an ambiguous one ("--e", "--t-s", "--h")
+_prefixes = st.sampled_from([f for f in _FLAG_NAMES if f.startswith("--")]).flatmap(
+    lambda f: st.integers(3, len(f)).map(lambda n: f[:n]))
+_texts = (st.floats().map(repr) | st.integers().map(str)
+          | st.sampled_from(["-1e3", "-1e-3", "-2.5E+02", "-.5", "-7.", "1e999",
+                             "-inf", "1_0", "", "abc", "json", "log",
+                             "quadrature,asymptotic"]))
+_tokens = (st.sampled_from(_FLAG_NAMES) | _prefixes | _texts
+           | st.builds("{}={}".format, _prefixes, _texts)
+           | st.sampled_from(["--bogus", "--bogus=1", "-x", "-h", "--help"]))
+# runs of tokens: mostly a flag or prefix and a text, so that many argvs read
+_runs = st.lists(st.tuples(st.sampled_from(_FLAG_NAMES) | _prefixes, _texts)
+                 | st.tuples(_tokens), max_size=5)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=st.just([]) | st.builds(
+    lambda head, runs: [head, *(token for run in runs for token in run)],
+    st.sampled_from([*cli._COMMANDS] * 4 + ["-h", "--help", "--he", "--help=1", "bogus"]),
+    _runs))
+@example(argv=["crossover", "--bogus", "-h"])     # help after an unknown flag
+@example(argv=["crossover", "-h", "--e"])         # an ambiguous flag after help
+@example(argv=["crossover", "-h", "--x", "abc"])  # an unreadable value after help
+@example(argv=["amplitude", "--x", "-1e3", "--x=2", "--ro=a,b", "--log"])
+def test_parse_reads_argv_as_argparse_did(argv):
+    assert _read(cli._parse, argv) == _read(_REFERENCE.parse_args, argv)
+
+
+def test_the_cli_never_imports_argparse():
+    # a fresh interpreter, since this one has argparse loaded by pytest
+    probe = ("import os, sys, khalfin.cli\n"
+             "assert khalfin.cli.main(['crossover', '--x', '1000', '--out', os.devnull]) == 0\n"
+             "assert 'argparse' not in sys.modules, 'the CLI imported argparse'")
+    src = pathlib.Path(cli.__file__).parents[1]
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 _FUZZ_KEYS = sorted({key for p in cli._PARAMS if p.path

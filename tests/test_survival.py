@@ -23,7 +23,7 @@ from khalfin import (
 )
 from khalfin import survival
 from khalfin.effham import _conditioning
-from khalfin.errors import DomainError, RangeOverflowError
+from khalfin.errors import AmplitudeUnderflowError, DomainError, RangeOverflowError
 
 EPS = float(np.finfo(float).eps)
 
@@ -364,6 +364,26 @@ def test_overflowing_phase_arguments_are_refused_before_any_arithmetic(route):
         for t in (1e300, np.array([1.0, 1e300])):
             with pytest.raises(RangeOverflowError, match="t = 1e[+]300"):
                 route(d, t)
+
+
+def test_no_route_warns_or_reads_a_silent_zero_where_v_nears_the_double_range():
+    # v = gamma0 t/(2 hbar) ~ 1.4e308 is finite, but 2v, the closed form's
+    # error scale 1 + 2v, |z1| + Re z1 and the quadrature route's k = 2v(1 + x)
+    # are not.  |a| is 4.63e-309: the closed form and the quadrature route
+    # refuse the point alike, where the latter read 0 with est_error 0
+    d = make_density(0.0, 1.11e-256 * 6.96e19, 6.96e19, 1.58e-21)
+    t = 6.24e267
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in (amplitude_closed_form, amplitude_quadrature):
+            with pytest.raises(RangeOverflowError):
+                route(d, t)
+        for route in (effective_hamiltonian, effective_hamiltonian_fd):
+            with pytest.raises(AmplitudeUnderflowError):
+                route(d, t)
+        assert abs(amplitude_asymptotic(d, t).value) == pytest.approx(4.632e-309, rel=1e-3)
+        delta = delta_amplitude(d, t)
+        assert delta != 0 and math.isfinite(abs(delta))
 
 
 # ---------------------------------------------------------------------------
