@@ -37,6 +37,8 @@ from .survival import Route
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+# the most time points one run computes and writes
+MAX_POINTS = 10 ** 6
 
 
 @dataclass
@@ -62,6 +64,8 @@ class RunConfig:
     def __post_init__(self):
         if self.points < 2:
             raise ConfigError("points must be >= 2")
+        if self.points > MAX_POINTS:
+            raise ConfigError(f"points must be <= {MAX_POINTS}")
         if not self.t_start < self.t_stop:
             raise ConfigError("t_start must be < t_stop")
 
@@ -79,11 +83,16 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def time_grid(self):
-        if self.log_spacing:
-            if self.t_start <= 0:
-                raise ConfigError("log spacing requires t_start > 0")
-            return np.geomspace(self.t_start, self.t_stop, self.points)
-        return np.linspace(self.t_start, self.t_stop, self.points)
+        if not self.log_spacing:
+            return np.linspace(self.t_start, self.t_stop, self.points)
+        if self.t_start <= 0:
+            raise ConfigError("log spacing requires t_start > 0")
+        # np.geomspace's own arithmetic, bit for bit, without its
+        # Python-level cost
+        lo, hi = np.log10(self.t_start), np.log10(self.t_stop)
+        grid = 10.0 ** (np.arange(self.points) * ((hi - lo) / (self.points - 1)) + lo)
+        grid[0], grid[-1] = self.t_start, self.t_stop
+        return grid
 
     def meta(self) -> dict:
         # where the output is written is not part of what was computed
@@ -164,21 +173,22 @@ _PARAMS = (
 )
 
 
-def _lookup(doc, path: str):
-    """The value at a dotted config path; None where absent or null."""
-    where = "document"
-    for key in path.split("."):
+def _lookup(doc: dict, path: str):
+    """The value at a dotted path of a config document; None where absent
+    or null."""
+    *outer, last = path.split(".")
+    for key in outer:
+        doc = doc.get(key)
         if doc is None:
-            break
+            return None
         if not isinstance(doc, dict):
-            raise ConfigError(f"config {where} must be a JSON object")
-        doc, where = doc.get(key), key
-    return doc
+            raise ConfigError(f"config {key} must be a JSON object")
+    return doc.get(last)
 
 
 def _run_config(args: dict) -> RunConfig:
     """The checked parameters, each from its flag, else from the config."""
-    doc = {}
+    doc = None   # no config document given
     if "config" in args:
         try:
             with open(args["config"]) as fh:
@@ -186,10 +196,12 @@ def _run_config(args: dict) -> RunConfig:
         # ValueError: not JSON or not UTF-8; RecursionError: nested too deep
         except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {args['config']}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError("config document must be a JSON object")
     values = {}
     for p in _PARAMS:
         v = args.get(p.field)
-        if v is None and p.path is not None:
+        if v is None and doc is not None and p.path is not None:
             v = _lookup(doc, p.path)
         if v is not None:
             values[p.field] = p.check(v, p.field)
@@ -223,14 +235,17 @@ _AMPLITUDE_HEADER = ["t", "re_a", "im_a", "abs_a", "p_t", "route", "est_error"]
 def cmd_amplitude(cfg: RunConfig) -> int:
     d = NormalizedDensity.from_params(cfg.model())
     grid = cfg.time_grid()
-    # route r is survival.amplitude_<r>, looked up as the command runs
-    samples = [getattr(survival, f"amplitude_{r}")(d, grid) for r in cfg.routes]
+    m = len(cfg.routes)
     # row k * m + j holds time k and route j
-    value = np.stack([s.value for s in samples], axis=1).ravel()
-    est = np.stack([s.est_error for s in samples], axis=1).ravel()
+    value = np.empty(grid.size * m, dtype=complex)
+    est = np.empty(grid.size * m)
+    # route r is survival.amplitude_<r>, looked up as the command runs
+    for j, r in enumerate(cfg.routes):
+        s = getattr(survival, f"amplitude_{r}")(d, grid)
+        value[j::m], est[j::m] = s.value, s.est_error
     a_abs = np.abs(value)
     _emit(dict(zip(_AMPLITUDE_HEADER, (
-        np.repeat(grid, len(samples)).tolist(), value.real.tolist(),
+        grid.repeat(m).tolist(), value.real.tolist(),
         value.imag.tolist(), a_abs.tolist(), np.square(a_abs).tolist(),
         list(cfg.routes) * grid.size, est.tolist(),
     ))), cfg)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .density import NormalizedDensity, _relaxation
 from .errors import ConvergenceError, DomainError
-from .numerics import _EPS, newton
+from .numerics import _EPS, _all, newton
 
 APPROX_CONSTANT = 8.28
 APPROX_VALIDITY_X = 100.0
@@ -75,26 +75,33 @@ def crossover_roots(x):
 
 def _roots(x):
     """(s_small, s_large, sqrt A) of crossover_roots."""
+    s_large, root_a = _large_root(x)
+
+    def small_step(s):
+        e = root_a * np.exp(0.5 * s)
+        return (s - e) / (1.0 - 0.5 * e)
+
+    return newton(small_step, root_a), s_large, root_a
+
+
+def _large_root(x):
+    """(s_large, sqrt A) of crossover_roots, with the large root's
+    residual checked; the small root is not solved for."""
     x = np.asarray(x, dtype=float)
-    if not np.all((x >= 1.0) & (x < np.inf)):
+    if not _all((x >= 1.0) & (x < np.inf)):
         raise DomainError("crossover solver requires a finite x >= 1")
     log_a, root_a = _dominance(x)
 
     def large_step(s):
         return (2.0 * np.log(s) - s - log_a) / (2.0 / s - 1.0)
 
-    def small_step(s):
-        e = root_a * np.exp(0.5 * s)
-        return (s - e) / (1.0 - 0.5 * e)
-
     el = -log_a
     s_large = newton(large_step, el + 2.0 * np.log(el))
-    s_small = newton(small_step, root_a)
     g = np.abs(2.0 * np.log(s_large) - s_large - log_a)
     bad = g > np.maximum(1e-12, 4.0 * _EPS * s_large)
-    if bad.any():
+    if np.count_nonzero(bad):
         raise ConvergenceError(f"crossover root residual {g[bad].max():g} too large")
-    return s_small, s_large, root_a
+    return s_large, root_a
 
 
 @dataclass(frozen=True)

@@ -258,7 +258,7 @@ def newton(step, x: np.ndarray) -> np.ndarray:
         x = x - dx
         size = np.abs(dx)
         active &= (size > 1e-15 * np.abs(x)) & (size < last)
-        if not active.any():
+        if not np.count_nonzero(active):
             return x
         last = size
     raise ConvergenceError("Newton iteration did not converge")

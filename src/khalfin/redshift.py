@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .crossover import crossover_roots
+from .crossover import _large_root
 from .density import (ResonanceParams, _late_time_energy, _relaxation,
                       _relaxation_shift)
 from .errors import CatalogError, DomainError, RangeOverflowError
@@ -206,7 +206,7 @@ def crossover_times(e0, gamma0, e_min, hbar) -> np.ndarray:
     one array solve."""
     e0, gamma0, e_min, hbar = (np.asarray(c, dtype=float)
                                for c in (e0, gamma0, e_min, hbar))
-    s = crossover_roots((e0 - e_min) / gamma0)[1]
+    s = _large_root((e0 - e_min) / gamma0)[0]
     return s * hbar / gamma0
 
 

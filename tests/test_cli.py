@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import subprocess
 import sys
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -82,6 +84,77 @@ def test_quadrature_route_in_the_tail(capsys):
         assert float(quad[6]) <= 1e-12 * abs(ref)
         # the closed form rounds z = t (x - i/2) and is off by ~4e-10 here
         assert abs(q - a) <= 4.0 * 2.0 ** -52 * t * math.hypot(1e6, 0.5) * abs(a)
+
+
+_ROUTES = ("closed_form", "quadrature", "asymptotic")
+
+
+def _route_rows(capsys, routes, fmt):
+    """{route: its rows} of one amplitude run over these routes; a CSV row
+    is its line, a JSON row its compact encoding."""
+    status, out, _ = run(capsys, "amplitude", "--x", "10", "--points", "4",
+                         "--t-start", "0.5", "--t-stop", "200",
+                         "--routes", ",".join(routes), "--format", fmt)
+    assert status == EXIT_OK
+    if fmt == "csv":
+        rows = [(line.split(",")[5], line) for line in out.splitlines()[1:]]
+    else:
+        rows = [(row["route"], json.dumps(row, sort_keys=True))
+                for row in json.loads(out)["rows"]]
+    by_route = {}
+    for route, row in rows:
+        by_route.setdefault(route, []).append(row)
+    return by_route
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_each_route_of_a_multi_route_run_is_its_single_route_run(capsys, fmt):
+    alone = {r: _route_rows(capsys, [r], fmt)[r] for r in _ROUTES}
+    for m in (2, 3):
+        for routes in itertools.permutations(_ROUTES, m):
+            assert _route_rows(capsys, routes, fmt) == {r: alone[r] for r in routes}
+
+
+def _grid_and_reference(t_start, t_stop, points, log):
+    """RunConfig.time_grid() and the NumPy function it must equal."""
+    cfg = cli.RunConfig(t_start=t_start, t_stop=t_stop, points=points,
+                        log_spacing=log)
+    # a grid up to the largest double overflows on the way, like NumPy's
+    with np.errstate(over="ignore"):
+        return cfg.time_grid(), (np.geomspace if log else np.linspace)(
+            t_start, t_stop, points)
+
+
+def _assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+_TINIEST = 5e-324
+_LARGEST = sys.float_info.max
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), t_start=st.floats(_TINIEST, 1e308),
+       points=st.integers(2, 4096), log=st.booleans())
+def test_time_grid_is_numpys_bit_for_bit(data, t_start, points, log):
+    t_stop = data.draw(st.floats(t_start, _LARGEST, exclude_min=True))
+    _assert_same_bits(*_grid_and_reference(t_start, t_stop, points, log))
+
+
+@pytest.mark.parametrize("t_start, t_stop, points", [
+    (1e-2, 1e3, 200),                        # the benchmark's sweeps
+    (0.1, 3e3, 200),
+    (1e-2, 1e-2 * 10.0 ** 0.5, 2),           # its 2-point windows
+    (10.0 ** 2.5, 1e3, 2),
+    (1.0, math.nextafter(1.0, 2.0), 33),     # adjacent ends
+    (1e300, math.nextafter(1e300, math.inf), 9),
+    (_TINIEST, math.nextafter(_TINIEST, 1.0), 7),
+    (_TINIEST, _LARGEST, 4096),              # the whole double range
+])
+@pytest.mark.parametrize("log", [True, False], ids=["log", "linear"])
+def test_time_grid_examples_are_numpys(t_start, t_stop, points, log):
+    _assert_same_bits(*_grid_and_reference(t_start, t_stop, points, log))
 
 
 def test_deterministic_repeat(capsys):
@@ -444,6 +517,44 @@ def test_malformed_config_document(capsys, tmp_path):
         status, _, err = run(capsys, "amplitude", "--config", str(cfg))
         assert status == EXIT_CONFIG
         assert "error" in err
+
+
+@pytest.mark.parametrize("text", ["null", "[]", "0", '""'])
+def test_config_document_that_is_not_an_object_exits_2(capsys, tmp_path, text):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    status, out, err = run(capsys, "crossover", "--x", "100", "--config", str(cfg))
+    assert (status, out) == (EXIT_CONFIG, "")
+    assert err == "error: config document must be a JSON object\n"
+
+
+def test_empty_config_document_is_no_config(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text("{}")
+    assert run(capsys, "crossover", "--x", "100", "--config", str(cfg)) == \
+        run(capsys, "crossover", "--x", "100")
+
+
+def test_flag_only_run_reads_no_config_path(monkeypatch):
+    def lookup(doc, path):
+        raise AssertionError(f"looked up {path} without a config document")
+
+    monkeypatch.setattr(cli, "_lookup", lookup)
+    assert cli._run_config(cli._parse(["amplitude", "--x", "5"])).x == 5.0
+
+
+# above the cap only: a grid near it is never built here
+@pytest.mark.parametrize("points", [cli.MAX_POINTS + 1, 10 ** 20, 10 ** 400])
+@pytest.mark.parametrize("by_config", [False, True])
+def test_points_above_the_cap_exit_2(capsys, tmp_path, points, by_config):
+    if by_config:
+        (tmp_path / "run.json").write_text(json.dumps({"sweep": {"points": points}}))
+        argv = ("--config", str(tmp_path / "run.json"))
+    else:
+        argv = ("--points", str(points))
+    status, out, err = run(capsys, "amplitude", "--x", "100", *argv)
+    assert (status, out) == (EXIT_CONFIG, "")
+    assert err == f"error: points must be <= {cli.MAX_POINTS}\n"
 
 
 @pytest.mark.parametrize("text, where", [

@@ -21,7 +21,8 @@ from khalfin import (
     observed_line_table,
     ratio_diagnostic,
 )
-from khalfin import hamiltonian_asymptotic, make_density, power_tail_coefficient
+from khalfin import (crossover_roots, hamiltonian_asymptotic, make_density,
+                     power_tail_coefficient)
 from khalfin.density import _relaxation
 from khalfin.errors import CatalogError, DomainError, RangeOverflowError
 from khalfin.redshift import (crossover_time, crossover_times,
@@ -309,6 +310,15 @@ def test_observed_line_table_squares_like_python_floats():
 
 def _bits(values):
     return [float(v).hex() for v in values]
+
+
+def test_crossover_times_are_the_large_roots():
+    # crossover_times solves the large root alone: in width units it is
+    # crossover_roots' large root, bit for bit
+    x = np.geomspace(1.0, 1e300, 2001)
+    one = np.ones_like(x)
+    assert _bits(crossover_times(x, one, 0.0 * one, one)) == \
+        _bits(crossover_roots(x)[1])
 
 
 @settings(max_examples=80, deadline=None)
