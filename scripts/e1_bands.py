@@ -7,7 +7,15 @@ Series: the first k with |z|^k/(k k!) < 1e-20 at each band's top.
 Continued fraction: the least depth n at which the fraction truncated at
 n, in 50-digit arithmetic, is within 2^-54 of e^z E1(z) at every sampled
 point of the band's inner circle in the fraction's region, the points
-beside the branch cut included.  Prints both tables and whether they equal
+beside the branch cut included.  From |z| = 40 that region reaches the
+cut, so a band there admits only the depths whose poles lie inside
+|z| < low: the fraction truncated at n is the (n + 1)-point
+Gauss-Laguerre rule for the integral of e^-t/(z + t) over t > 0, with
+its poles at minus the zeros of L_{n+1}.  Near r = 40 no depth reaches
+2^-54 on the cut: the fraction is real on the axis, and misses the
+imaginary half-jump of e^z E1(z) across it, pi e^-r, relative pi r e^-r
+(2.4 eps at r = 40).  A band where no admitted depth reaches 2^-54 takes
+the one of least worst error.  Prints both tables and whether they equal
 the ones in khalfin.numerics.  Needs mpmath (a test dependency).
 """
 
@@ -16,6 +24,7 @@ import sys
 
 import mpmath as mp
 import numpy as np
+from numpy.polynomial import laguerre
 
 from khalfin import numerics
 
@@ -25,17 +34,15 @@ TARGET = 2.0 ** -54
 def in_fraction_region(z: complex) -> bool:
     """The continued fraction's elements, as numerics._e1 selects them."""
     r = abs(z)
-    series = r + z.real <= 4.0 and r < 40.0
-    asym = r >= 40.0 and z.real < 0 and abs(z.imag) < 6.0
-    return not (series or asym)
+    return not (r + z.real <= 4.0 and r < 40.0)
 
 
 def inner_circle(r: float) -> list:
     """Points of |z| = r (just above, at r = 2) in the fraction's region,
-    Im z >= 0, dense toward the edge beside the cut."""
+    Im z > 0, dense toward the edge beside the cut: the series' edge
+    below |z| = 40, the cut's upper side from there."""
     r = math.nextafter(r, math.inf)
-    edge = (math.acos(4.0 / r - 1.0) if r < 40.0
-            else math.pi - math.asin(6.0 / r))
+    edge = math.acos(4.0 / r - 1.0) if r < 40.0 else math.pi
     angles = [edge * j / 63 for j in range(64)]
     angles += [edge * (1.0 - 2.0 ** -j) for j in range(1, 40)]
     points = []
@@ -45,8 +52,7 @@ def inner_circle(r: float) -> list:
             if in_fraction_region(z):
                 points.append(z)
                 break
-            z = (complex(z.real, math.nextafter(z.imag, math.inf)) if r >= 40.0
-                 else complex(math.nextafter(z.real, math.inf), z.imag))
+            z = complex(math.nextafter(z.real, math.inf), z.imag)
     return points
 
 
@@ -66,9 +72,18 @@ def truncation_errors(z: complex, n_max: int) -> list:
         return errs
 
 
+def largest_pole(n: int) -> float:
+    """|z| of the fraction's outermost pole at depth n: the largest zero of
+    the Laguerre polynomial L_{n+1}."""
+    return float(laguerre.laggauss(n + 1)[0].max())
+
+
 def cf_depth(r: float, n_max: int = 80) -> int:
     worst = np.max([truncation_errors(z, n_max) for z in inner_circle(r)], axis=0)
-    return int(np.argmax(worst <= TARGET))
+    if r >= 40.0:   # the region reaches the cut: no pole may lie in the band
+        worst[[largest_pole(n) >= r for n in range(n_max + 1)]] = np.inf
+    # the least depth within TARGET, or else the one of least worst error
+    return int(np.argmin(np.maximum(worst, TARGET)))
 
 
 def series_terms(top: float) -> int:

@@ -68,11 +68,13 @@ def _complex(re, im) -> np.ndarray:
 # above), derived and checked by scripts/e1_bands.py.  Series: the first k
 # with |z|^k/(k k!) < 1e-20 at the band's top.  Continued fraction: the
 # least depth within 2^-54 of e^z E1(z) on the band's inner circle, where
-# its truncation error is largest (beside the cut).
+# its truncation error is largest (beside the cut).  From |z| = 40 it runs
+# to the cut, where only depths with no pole in the band qualify, and none
+# comes within pi r e^-r (2.4 eps at r = 40): the least error wins there.
 _SERIES_TOPS = np.array([0.5, 2.0, 4.0, 8.0, 16.0])
 _SERIES_TERMS = np.array([17, 26, 35, 49, 74, 142])
 _CF_TOPS = np.array([4.0, 8.0, 16.0, 40.0, 100.0, 1e3, 2e4])
-_CF_DEPTHS = np.array([55, 51, 44, 30, 12, 5, 2, 1])
+_CF_DEPTHS = np.array([55, 51, 44, 30, 10, 5, 2, 1])
 
 # c_k = (-1)^{k+1}/(k k!), correctly rounded, for k = 0..142 (c_0 = 0)
 _SERIES_COEFFS = np.array([0.0] + [(-1) ** (k + 1) / (k * math.factorial(k))
@@ -158,16 +160,21 @@ def _e1_series(z: np.ndarray) -> np.ndarray:
 
 def _e1_cf_scaled(z: np.ndarray) -> np.ndarray:
     """Continued fraction e^z E1(z) = 1/(z + 1 - 1/(z + 3 - 4/(z + 5 - ...))),
-    where neither series applies (|z| + Re z > 4, or |z| >= 40 with
-    |Im z| >= 6), at depth n: f = z + 2n + 1, then f = (z + 2k - 1) - k^2/f
-    for k = n..1, and 1/f.  Off the cut each f keeps the sign of Im z (and
-    f > 0 on the positive axis), so no step divides by zero."""
+    where the series does not run (|z| + Re z > 4, or |z| >= 40), at depth
+    n: f = z + 2n + 1, then f = (z + 2k - 1) - k^2/f for k = n..1, and 1/f.
+    At depth n it is the (n + 1)-point Gauss-Laguerre rule for e^z E1(z),
+    with poles at minus the zeros of L_{n+1}; the depths from |z| = 40 keep
+    them inside |z| < 34.  So no step divides by zero: off the cut each f
+    keeps the sign of Im z (f > 0 on the positive axis), and on it
+    |f| > 15."""
     return 1.0 / _backward(z, _CF_BANDS, lambda z, n: z + (2 * n + 1), _cf_steps)
 
 
 def _e1(z: np.ndarray, scaled: bool) -> np.ndarray:
     """E1 (or e^z E1 when scaled) of a flat complex array, checked against
-    the domain first, with one pass of each branch over its own elements."""
+    the domain first, with one pass of each branch over its own elements:
+    the series for |z| < 40 with |z| + Re z <= 4 (beside the cut), the
+    continued fraction everywhere else."""
     r = np.abs(z)
     with np.errstate(over="ignore"):   # inf near the double range: the cf branch
         s = r + z.real
@@ -182,26 +189,15 @@ def _e1(z: np.ndarray, scaled: bool) -> np.ndarray:
         raise RangeOverflowError(
             "e^{-z} overflows for Re z < -700; use exp_integral_e1_scaled"
         )
-    near = s <= 4.0
-    small = r < 40.0
-    series = near & small
-    # |z| >= 40 with Re z < 0 and |Im z| < 6: there |z| + Re z < 0.45, and
-    # elsewhere |z| >= 40 puts |z| + Re z above 4 unless Re z < 0
-    asym = near & ~small & (np.abs(z.imag) < 6.0)
-    cf = ~(series | asym)
+    series = (s <= 4.0) & (r < 40.0)
+    cf = ~series
     out = np.empty_like(z)
     if np.count_nonzero(series):
         zs = z[series]
         out[series] = np.exp(zs) * _e1_series(zs) if scaled else _e1_series(zs)
     if np.count_nonzero(cf):
-        out[cf] = _e1_cf_scaled(z[cf])
-    if np.count_nonzero(asym):
-        # for |z| >= 40 the terms fall up to k = 39: the series stops at
-        # about its smallest term, about e^{-40} of the sum; cumsum adds
-        # them in order, where sum(axis=0) adds a lone element's pairwise
-        out[asym] = np.cumsum(_e1s_asym_terms(z[asym], 39), axis=0)[-1]
-    if not scaled:
-        out[~series] = out[~series] * np.exp(-z[~series])
+        zc = z[cf]
+        out[cf] = _e1_cf_scaled(zc) if scaled else _e1_cf_scaled(zc) * np.exp(-zc)
     return out
 
 

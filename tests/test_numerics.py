@@ -44,9 +44,9 @@ def e1_series_oracle(z: complex) -> complex:
     return s
 
 
-# a grid that exercises every algorithm region: the power series (small
-# |z|, and beside the branch cut out to |z| = 40, e.g. -8+2j and -20-3j),
-# the continued fraction, and the full asymptotic series
+# a grid that exercises both algorithm regions: the power series (small
+# |z|, and beside the branch cut out to |z| = 40, e.g. -8+2j and -20-3j)
+# and the continued fraction everywhere else
 E1_GRID = [
     0.5 + 0.0j, 2.0 + 1.0j, -1.0 + 2.0j, 0.01 - 0.03j, 5.0 - 4.0j,
     8.0 + 0.0j, 10.0 - 30.0j, 50.0 + 50.0j, 200.0 + 5.0j, 3.0 + 300.0j,
@@ -218,10 +218,10 @@ _E1_POINTS = st.one_of(
     # the whole plane, |z| from 1e-3 to 1e13: the series and the fraction
     st.builds(cmath.rect, st.floats(-3.0, 13.0).map(lambda u: 10.0 ** u),
               st.floats(-math.pi, math.pi)),
-    # beside the cut at |Im z| = 6, the asymptotic series' edge for |z| >= 40
+    # beside the cut, |Im z| from 1e-300 to 6: the series below |z| = 40,
+    # the fraction from there, where no pole of its may lie
     st.builds(complex, st.floats(-3.0, 13.0).map(lambda u: -(10.0 ** u)),
-              st.sampled_from([math.nextafter(6.0, 0.0), 6.0,
-                               math.nextafter(6.0, 7.0)])
+              st.floats(-300.0, math.log10(6.0)).map(lambda u: 10.0 ** u)
               .flatmap(lambda y: st.sampled_from([y, -y]))),
     _e1_band_edge(),
 )
@@ -229,6 +229,10 @@ _E1_POINTS = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(_E1_POINTS)
+# the outermost poles of the fraction at depths 12 and 13, on the cut's
+# upper side, where those depths are 1.6e15 and 5.7e12 eps off
+@example(complex(-40.72300866926558, 1e-300))
+@example(complex(-44.3660817111174, 1e-300))
 def test_scaled_e1_relative_error_is_a_few_eps(z):
     # a few eps everywhere, times the series' cancellation e^{|z| + Re z}
     # (at most e^4) where the series runs
@@ -254,21 +258,23 @@ def test_e1_array_of_mixed_bands_equals_scalar_calls(zs):
 def _cf_edge_beside_the_cut(r: float) -> complex:
     """The continued fraction's point on |z| = r (just above it at r = 2)
     nearest the cut: on the series' edge |z| + Re z = 4 below |z| = 40,
-    at Im z = 6 above."""
+    on the cut's upper side from there."""
     r = math.nextafter(r, math.inf)
     if r < 40.0:
         z = complex(4.0 - r, math.sqrt(8.0 * (r - 2.0)))
         while abs(z) + z.real <= 4.0:
             z = complex(z.real + math.ulp(r), z.imag)
         return z
-    return complex(-math.sqrt(r * r - 36.0), 6.0)
+    return complex(-r, 1e-300)
 
 
 @pytest.mark.parametrize("low, depth", zip([2.0, *_CF_TOPS], _CF_DEPTHS))
 def test_cf_depth_truncates_within_a_quarter_eps(low, depth):
     # the fraction truncated at its band's depth, in 50-digit arithmetic,
     # at the band's worst point (scripts/e1_bands.py scans the whole inner
-    # circle) and on the positive real axis
+    # circle) and on the positive real axis.  On the cut (|z| >= 40) the
+    # fraction is real and misses the imaginary half-jump pi e^z of
+    # e^z E1(z) across it, which no depth can make up
     for z in (_cf_edge_beside_the_cut(low), complex(math.nextafter(low, 5e4))):
         with mp.workdps(50):
             zz = mp.mpc(z)
@@ -276,7 +282,32 @@ def test_cf_depth_truncates_within_a_quarter_eps(low, depth):
             for k in range(depth, 0, -1):
                 f = zz + 2 * k - 1 - k * k / f
             ref = mp.exp(zz) * mp.e1(zz)
-            assert abs(1 / f - ref) <= EPS / 4 * abs(ref), z
+            jump = mp.pi * abs(mp.exp(zz)) if z.real < 0 and low >= 40.0 else 0
+            assert abs(1 / f - ref) <= EPS / 4 * abs(ref) + jump, z
+
+
+def _cf_poles(depth: int) -> np.ndarray:
+    """The poles of the fraction truncated at depth: the zeros of the
+    denominator of its convergent, by the Wallis recurrence."""
+    P = np.polynomial.Polynomial
+    b_prev, b = P([1.0]), P([1.0, 1.0])
+    for j in range(1, depth + 1):
+        b_prev, b = b, P([2.0 * j + 1.0, 1.0]) * b - j * j * b_prev
+    return b.roots()
+
+
+@pytest.mark.parametrize("low, depth", [(low, n) for low, n in
+                                        zip(_CF_TOPS, _CF_DEPTHS[1:].tolist()) if low >= 40.0])
+def test_cf_poles_lie_below_the_band_on_the_cut(low, depth):
+    # from |z| = 40 the fraction runs beside the cut, so a pole there would
+    # sit in its band: at depth 12 the outermost, at -40.72, puts it 1.6e15
+    # eps off on the cut's upper side.  The poles are minus the zeros of
+    # the Laguerre polynomial L_{depth+1}, which scripts/e1_bands.py uses
+    poles = _cf_poles(depth)
+    assert np.abs(poles.imag).max() <= 1e-9 * low
+    assert poles.real.min() > -low
+    nodes, _ = np.polynomial.laguerre.laggauss(depth + 1)
+    np.testing.assert_allclose(np.sort(-poles.real), nodes, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------
