@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .crossover import _dominance
 from .density import NormalizedDensity, _late_time_energy
 from .errors import (
     AmplitudeUnderflowError,
@@ -27,13 +28,8 @@ from .errors import (
     FitError,
     RangeOverflowError,
 )
-from .numerics import _complex, _EPS, _unflat
-from .survival import (
-    AmplitudeSample,
-    _closed_form,
-    _times,
-    power_tail_coefficient,
-)
+from .numerics import _all, _complex, _EPS, _unflat
+from .survival import AmplitudeSample, _closed_form, _phase_args, _times
 
 
 class HamiltonianRoute(enum.Enum):
@@ -55,14 +51,15 @@ class HamiltonianSample:
     ill_conditioned: bool | np.ndarray = False
 
 
-def _conditioning(d: NormalizedDensity, t: np.ndarray, a_abs: np.ndarray) -> np.ndarray:
+def _conditioning(d: NormalizedDensity, v: np.ndarray, a_abs: np.ndarray) -> np.ndarray:
     """Interference between the pole and power-law terms can drive a(t)
     through near-zeros around the crossover time, where h(t) spikes.
-    Flag samples where |a| sits far below its two-term envelope."""
-    p = d.params
-    v = 0.5 * p.gamma0 * t / p.hbar
-    envelope = d.norm_n * np.exp(-np.minimum(v, 745.0)) + power_tail_coefficient(d) / t
-    return a_abs < 2e-2 * envelope
+    Flag samples where |a| sits far below its two-term envelope in width
+    units, N (e^{-v} + sqrt(A)/2v) on the row v of _phase_args, with A of
+    the crossover relation; a sample whose tail term overflows is flagged."""
+    with np.errstate(over="ignore", divide="ignore"):
+        tail = _dominance(d.params.x)[1] / (2.0 * v)
+    return a_abs < 2e-2 * (d.norm_n * (np.exp(-np.minimum(v, 745.0)) + tail))
 
 
 def _require_nonvanishing(t: np.ndarray, a_abs: np.ndarray) -> None:
@@ -87,56 +84,63 @@ def _sample(t, shape, h, route, ill_conditioned) -> HamiltonianSample:
                              _unflat(ill_conditioned, shape))
 
 
-def _exact_ratio(d, t, shape, a, delta) -> HamiltonianSample:
-    """h = pole + delta_a/a from a(t) and delta_a(t) of one closed-form call."""
+def _exact_ratio(d, t, shape, v, a, delta) -> HamiltonianSample:
+    """h = pole + gamma0 delta_a_w/a_w of one closed-form call, on the row v."""
     a_abs = np.abs(a)
     _require_nonvanishing(t, a_abs)
-    h = d.params.pole + delta / a
+    h = d.params.pole + d.params.gamma0 * (delta / a)
     return _sample(t, shape, h, HamiltonianRoute.EXACT_RATIO,
-                   _conditioning(d, t, a_abs))
+                   _conditioning(d, v, a_abs))
 
 
 def effective_hamiltonian(d: NormalizedDensity, t) -> HamiltonianSample:
-    """Exact-ratio route: h(t) = pole + delta_a(t)/a(t).
+    """Exact-ratio route: h(t) = pole + delta_a(t)/a(t) = pole + gamma0
+    delta_a_w/a_w, where the threshold phase cancels and is never formed.
 
-    t may be a scalar or an array; a(t) and delta_a(t) come from one E1
-    call on [z1; z2], delta_a reusing E1s(z1) of the amplitude.
+    t may be a scalar or an array; a_w and delta_a_w come from one E1
+    call on [z1; z2], delta_a_w reusing E1s(z1) of the amplitude.
     """
     tt, shape = _times(t, positive=True)
-    a, _, delta = _closed_form(d, tt, with_delta=True)
-    return _exact_ratio(d, tt, shape, a, delta)
+    u, v, _ = _phase_args(d, tt)
+    a, _, delta = _closed_form(d, u, v, with_delta=True)
+    return _exact_ratio(d, tt, shape, v, a, delta)
 
 
 def effective_hamiltonian_fd(d: NormalizedDensity, t, with_exact: bool = False):
     """Finite-difference route: Richardson-extrapolated central difference
-    of the closed-form amplitude, divided by a(t).
+    of the closed-form a_w in tau = 2v = gamma0 t/hbar, with the step
+    eps^(1/3) max(tau, 1), and h = e_min + gamma0 i (da_w/dtau)/a_w.
 
-    t may be a scalar or an array; a(t) and the four stencil points of
+    t may be a scalar or an array; a_w and the four stencil points of
     every t come from one E1 call.  With with_exact set, returns
     (exact-ratio sample, finite-difference sample): the centre row of
-    the stencil already holds a(t) and E1s(z1), so the exact route costs
+    the stencil already holds a_w and E1s(z1), so the exact route costs
     no second E1 call and equals effective_hamiltonian(d, t).
     """
     p = d.params
     tt, shape = _times(t, positive=True)
-    step = _EPS ** (1.0 / 3.0) * np.maximum(tt, p.lifetime)
-    if np.any(tt <= 2.0 * step):
+    u, v, _ = _phase_args(d, tt)
+    # the stencil is formed in v, where 2v may overflow: s is half the step
+    s = _EPS ** (1.0 / 3.0) * np.maximum(v, 0.5)
+    if np.any(v <= 2.0 * s):
         raise DomainError("t too small for the finite-difference stencil")
-    half = 0.5 * step
-    stencil = np.concatenate([tt, tt + step, tt - step, tt + half, tt - half])
-    values, _, delta = _closed_form(d, stencil, with_delta=with_exact)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vs = np.concatenate([v, v + s, v - s, v + 0.5 * s, v - 0.5 * s])
+        us = np.concatenate([u, p.x * vs[tt.size:] * 2.0])   # u = x tau
+    if not _all(np.isfinite(us)):
+        raise RangeOverflowError("finite-difference stencil out of the double range")
+    values, _, delta = _closed_form(d, us, vs, with_delta=with_exact)
     a, ap, am, ahp, ahm = values.reshape(5, -1)
     a_abs = np.abs(a)
     _require_nonvanishing(tt, a_abs)
-    d1 = (ap - am) / (2.0 * step)
-    d2 = (ahp - ahm) / (2.0 * half)
-    deriv = (4.0 * d2 - d1) / 3.0
-    h = 1j * p.hbar * deriv / a
+    d1 = (ap - am) / (4.0 * s)
+    d2 = (ahp - ahm) / (2.0 * s)
+    h = p.e_min + p.gamma0 * (1j * ((4.0 * d2 - d1) / 3.0) / a)
     fd = _sample(tt, shape, h, HamiltonianRoute.FINITE_DIFFERENCE,
-                 _conditioning(d, tt, a_abs))
+                 _conditioning(d, v, a_abs))
     if not with_exact:
         return fd
-    return _exact_ratio(d, tt, shape, a, delta[:tt.size]), fd
+    return _exact_ratio(d, tt, shape, v, a, delta[:tt.size]), fd
 
 
 def hamiltonian_asymptotic(d: NormalizedDensity, t) -> HamiltonianSample:

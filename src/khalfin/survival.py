@@ -7,11 +7,12 @@ The closed form is evaluated entirely through the scaled exponential
 integral so that no intermediate overflows even deep in the
 exponential era (gamma0 t / hbar up to ~1e5):
 
-    a(t) = N e^{-i e0 t/hbar - v}
-         + (i N / 2 pi) e^{-i e_min t/hbar} [E1s(z2) - E1s(z1)],
+    a(t) = e^{-i e_min t/hbar} a_w,
+    a_w = N e^{-v - iu} + (i N / 2 pi) [E1s(z2) - E1s(z1)],
 
 with v = gamma0 t / (2 hbar), u = (e0 - e_min) t / hbar,
-z1 = v - i u, z2 = -v - i u and E1s(z) = e^z E1(z).
+z1 = v - i u, z2 = -v - i u and E1s(z) = e^z E1(z).  Every route computes
+a_w, in width units (tau = 2v, u = x tau); only _sample applies the phase.
 """
 
 from __future__ import annotations
@@ -61,17 +62,18 @@ class AmplitudeSample:
         return p if np.ndim(p) else float(p)
 
 
-def _sample(route: Route, t: np.ndarray, shape, value: np.ndarray,
-            est: np.ndarray) -> AmplitudeSample:
-    """The sample of a route over flat t, in the caller's shape.  Every
-    route passes through here, so none returns a value, |value|^2 or
-    error estimate that is not finite."""
+def _sample(route: Route, t: np.ndarray, shape, theta: np.ndarray,
+            value: np.ndarray, est: np.ndarray) -> AmplitudeSample:
+    """The sample of a route over flat t, in the caller's shape: its a_w
+    times the threshold phase e^{-i theta}, applied only here.  Every route
+    passes through here, so none returns a value, |value|^2 or error
+    estimate that is not finite."""
     ok = np.isfinite(np.square(np.abs(value)) + est)
     if not _all(ok):
         raise RangeOverflowError(f"{route.value} route: a(t={t[~ok][0]:g}) is "
                                  "out of the double range")
-    return AmplitudeSample(_unflat(t, shape), _unflat(value, shape), route,
-                           _unflat(est, shape))
+    return AmplitudeSample(_unflat(t, shape), _unflat(value * np.exp(-1j * theta), shape),
+                           route, _unflat(est, shape))
 
 
 def _times(t, positive: bool = False):
@@ -88,12 +90,13 @@ def _times(t, positive: bool = False):
 
 
 def _phase_args(d: NormalizedDensity, t: np.ndarray) -> np.ndarray:
-    """The rows (u, v, e0 t/hbar, e_min t/hbar) on flat t, the phase
-    arguments of every route, formed only here.  RangeOverflowError names
-    the first t where one leaves the double range, before any arithmetic
-    on them can warn; -1j times a finite row is exactly complex(0, -row)."""
+    """The rows (u, v, theta) = ((e0 - e_min) t, gamma0 t/2, e_min t)/hbar
+    on flat t, formed only here: u = x tau and v = tau/2 of a_w, and the
+    threshold phase theta.  RangeOverflowError names the first t where one
+    leaves the double range, before any arithmetic on them can warn; -1j
+    times a finite row is exactly complex(0, -row)."""
     p = d.params
-    coeffs = np.array([[p.e0 - p.e_min], [0.5 * p.gamma0], [p.e0], [p.e_min]])
+    coeffs = np.array([[p.e0 - p.e_min], [0.5 * p.gamma0], [p.e_min]])
     with np.errstate(over="ignore"):
         args = coeffs * t / p.hbar
     ok = np.isfinite(args)
@@ -104,43 +107,35 @@ def _phase_args(d: NormalizedDensity, t: np.ndarray) -> np.ndarray:
     return args
 
 
-def _delta(d: NormalizedDensity, threshold: np.ndarray, e1s_z1: np.ndarray) -> np.ndarray:
-    """delta_a(t) from the threshold phase and E1s(z1)."""
-    return d.norm_n * d.params.gamma0 / TWO_PI * threshold * e1s_z1
-
-
 _SIGNS = np.array([[1.0], [-1.0]])
 
 
-def _closed_form(d: NormalizedDensity, t: np.ndarray, with_delta: bool = False):
-    """(a(t), est_error, delta_a(t) or None) on a flat array of t >= 0
-    (t > 0 with with_delta), from one call of the E1 kernel on the rows
-    [z1; z2].
+def _closed_form(d: NormalizedDensity, u, v, with_delta: bool = False):
+    """(a_w, est_error, delta_a_w = N E1s(z1) / 2 pi or None) on flat rows
+    u, v of _phase_args (t > 0 with with_delta), from one E1 call on [z1; z2].
 
     Every t takes the same array operations, without gathers: where a(t)
     joins its t = 0 value, the kernel gets z = 1 in place of an argument
     that is not needed, and the result is replaced.  With with_delta set
-    (the effective Hamiltonian needs it) delta_a reuses E1s(z1) of a(t).
+    (the effective Hamiltonian needs it) delta_a_w reuses E1s(z1) of a_w.
     """
-    u, v, e0_t, e_min_t = _phase_args(d, t)
     z = _complex(_SIGNS * v, -u)     # rows z1, z2 = +-v - iu
     # a(t) = 1 - O(t ln t); below this scale the phase arguments
     # degenerate in double precision, so join the exact t = 0 value
     # (written so that a NaN t takes the general path and fails there)
-    degenerate = np.maximum(u, v) < 1e-250
+    scale = np.maximum(u, v)
+    degenerate = scale < 1e-250
     joined = np.count_nonzero(degenerate)
     if joined:   # z = 1 stands in for z2 there, and for z1 unless delta_a needs it
         np.copyto(z[1] if with_delta else z, 1.0, where=degenerate)
     z1, z2 = exp_integral_e1_scaled(z)
-    pole = d.norm_n * np.exp(_complex(-v, -e0_t))
-    threshold = np.exp(-1j * e_min_t)
-    value = pole + (1j * d.norm_n / TWO_PI) * threshold * (z2 - z1)
+    value = d.norm_n * np.exp(_complex(-v, -u)) + (1j * d.norm_n / TWO_PI) * (z2 - z1)
     with np.errstate(over="ignore"):   # inf, refused by _sample
         est = 5e-14 * (1.0 + 2.0 * v)
     if joined:
         np.copyto(value, 1.0, where=degenerate)
-        np.copyto(est, 1e-240 * (t > 0), where=degenerate)
-    return value, est, _delta(d, threshold, z1) if with_delta else None
+        np.copyto(est, 1e-240 * (scale > 0), where=degenerate)
+    return value, est, d.norm_n / TWO_PI * z1 if with_delta else None
 
 
 def amplitude_closed_form(d: NormalizedDensity, t) -> AmplitudeSample:
@@ -149,8 +144,9 @@ def amplitude_closed_form(d: NormalizedDensity, t) -> AmplitudeSample:
     t may be a scalar or an array; the whole array costs one E1 call.
     """
     tt, shape = _times(t)
-    value, est, _ = _closed_form(d, tt)
-    return _sample(Route.CLOSED_FORM, tt, shape, value, est)
+    u, v, theta = _phase_args(d, tt)
+    value, est, _ = _closed_form(d, u, v)
+    return _sample(Route.CLOSED_FORM, tt, shape, theta, value, est)
 
 
 # initial knots of the rotated integral: 8 steps of equal ratio in s over
@@ -185,11 +181,10 @@ def _panels(pole_knots, c_from: float, k: np.ndarray, cut: np.ndarray,
     return lo, hi, point, np.where(slot < 8, 2, lo >= c_from)
 
 
-def _quadrature(d: NormalizedDensity, t: np.ndarray):
-    """(a(t), est_error) of the quadrature route on a flat array of t >= 0,
-    from one call of numerics.quad."""
+def _quadrature(d: NormalizedDensity, t: np.ndarray, u, v, theta):
+    """(a_w, est_error) of the quadrature route on a flat array of t >= 0
+    and its rows of _phase_args, from one call of numerics.quad."""
     p = d.params
-    u, v, _, phase = _phase_args(d, t)
     # y in units of y0 = 1 + x, so that nothing overflows: w = y/y0 on
     # [0, 1], with the pole of width xs at w = h, and s = 1/w on (0, 1].
     # In its variable u, each piece's integrand is
@@ -264,8 +259,8 @@ def _quadrature(d: NormalizedDensity, t: np.ndarray):
     size = pole_size + np.abs(below)
     # rounding floor: the exponent -v - iu (three roundings, as in the
     # closed form), the threshold phase (two) and a few ulps of each term
-    floor = (1.5 * _EPS) * np.hypot(v, u) * phased + _EPS * (np.abs(phase) + 8.0) * size
-    return (pole + below) * np.exp(-1j * phase), scale * err + floor
+    floor = (1.5 * _EPS) * np.hypot(v, u) * phased + _EPS * (np.abs(theta) + 8.0) * size
+    return pole + below, scale * err + floor
 
 
 def amplitude_quadrature(d: NormalizedDensity, t) -> AmplitudeSample:
@@ -285,12 +280,13 @@ def amplitude_quadrature(d: NormalizedDensity, t) -> AmplitudeSample:
     numerics.quad.
     """
     tt, shape = _times(t)
-    return _sample(Route.QUADRATURE, tt, shape, *_quadrature(d, tt))
+    u, v, theta = _phase_args(d, tt)
+    return _sample(Route.QUADRATURE, tt, shape, theta, *_quadrature(d, tt, u, v, theta))
 
 
 def amplitude_asymptotic(d: NormalizedDensity, t, order: int = 2) -> AmplitudeSample:
-    """Pole term plus the first `order` inverse-power background terms,
-    (i N / 2 pi) e^{-i e_min t/hbar} sum_k (-1)^k k! (z2^{-(k+1)} - z1^{-(k+1)}).
+    """Pole term plus the first `order` inverse-power background terms of
+    a_w, (i N / 2 pi) sum_k (-1)^k k! (z2^{-(k+1)} - z1^{-(k+1)}).
 
     est_error is the magnitude of the first omitted power term.  t may be
     a scalar or an array.
@@ -298,13 +294,11 @@ def amplitude_asymptotic(d: NormalizedDensity, t, order: int = 2) -> AmplitudeSa
     tt, shape = _times(t, positive=True)
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
-    u, v, e0_t, e_min_t = _phase_args(d, tt)
-    pole = d.norm_n * np.exp(_complex(-v, -e0_t))
-    pref = (1j * d.norm_n / TWO_PI) * np.exp(-1j * e_min_t)
-    terms = pref * (_e1s_asym_terms(_complex(-v, -u), order)
-                    - _e1s_asym_terms(_complex(v, -u), order))
-    value = pole + terms[:order].sum(axis=0)
-    return _sample(Route.ASYMPTOTIC, tt, shape, value, np.abs(terms[order]))
+    u, v, theta = _phase_args(d, tt)
+    terms = (1j * d.norm_n / TWO_PI) * (_e1s_asym_terms(_complex(-v, -u), order)
+                                        - _e1s_asym_terms(_complex(v, -u), order))
+    value = d.norm_n * np.exp(_complex(-v, -u)) + terms[:order].sum(axis=0)
+    return _sample(Route.ASYMPTOTIC, tt, shape, theta, value, np.abs(terms[order]))
 
 
 def delta_amplitude(d: NormalizedDensity, t):
@@ -313,11 +307,12 @@ def delta_amplitude(d: NormalizedDensity, t):
 
     Logarithmically singular at t = 0 (the model has divergent mean
     energy), hence t > 0 is required.  t may be a scalar or an array.
+    delta_a = gamma0 e^{-i e_min t/hbar} delta_a_w, delta_a_w = N E1s(z1) / 2 pi.
     """
     tt, shape = _times(t, positive=True)
-    u, v, _, e_min_t = _phase_args(d, tt)
-    return _unflat(_delta(d, np.exp(-1j * e_min_t),
-                          exp_integral_e1_scaled(_complex(v, -u))), shape)
+    u, v, theta = _phase_args(d, tt)
+    delta = d.norm_n / TWO_PI * exp_integral_e1_scaled(_complex(v, -u))
+    return _unflat(d.params.gamma0 * np.exp(-1j * theta) * delta, shape)
 
 
 def decay_law(d: NormalizedDensity, t):

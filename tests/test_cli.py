@@ -194,6 +194,29 @@ def test_fd_check_keeps_the_plain_columns(capsys):
     assert {line.split(",")[6] for line in plain.splitlines()[1:]} == {"0", "1"}
 
 
+def test_fd_check_passes_at_any_energy_origin(capsys):
+    # moving e_min (and e0 with it, x = 100) shifts h by e_min: the check
+    # that passes at e_min = 0 passes at e_min = -1e3, with the same h
+    # columns less e_min, and the same gap |h_fd - h| = fd_rel_diff |h|
+    grid = ("--x", "100", "--t-start", "0.1", "--t-stop", "3000", "--fd-check")
+    tables = []
+    for e_min in ("0", "-1e3"):
+        status, out, _ = run(capsys, "hamiltonian", f"--emin={e_min}", *grid)
+        assert status == EXIT_OK
+        tables.append([{k: float(v) for k, v in row.items() if k != "route"}
+                       for row in csv.DictReader(io.StringIO(out))])
+    e_min, eps = -1e3, sys.float_info.epsilon
+    for ref, row in zip(*tables):
+        h, h_ref = (abs(complex(r["re_h"], r["im_h"])) for r in (row, ref))
+        tol = 2 * eps * (abs(e_min) + h_ref)
+        for shifted in ("energy", "fd_re_h"):
+            assert abs(row[shifted] - e_min - ref[shifted]) <= tol
+        for same in ("im_h", "fd_im_h"):
+            assert abs(row[same] - ref[same]) <= tol
+        assert abs(row["fd_rel_diff"] * h - ref["fd_rel_diff"] * h_ref) <= 2 * tol
+        assert row["conditioning_flag"] == ref["conditioning_flag"]
+
+
 # string-valued columns; every other cell is a number
 _TEXT_COLUMNS = {"route", "id", "delta_pair_check"}
 

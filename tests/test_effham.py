@@ -122,6 +122,19 @@ def test_tiny_width_scales_like_unit_width():
         assert np.all(np.abs(b - a) <= 1e-15 * np.abs(a))
 
 
+def test_flags_are_those_of_width_units_at_any_hbar():
+    # at x = 1e-10 and hbar = 1e300 the tail coefficient's hbar/x
+    # overflowed and flagged every sample; the envelope in width units
+    # flags those of the gamma0 = hbar = 1 run at the same tau
+    taus = np.array([1e-3, 1.0, 10.0, 100.0, 1e4])
+    width = make_density(0.0, 1e-10, 1.0)
+    wide = make_density(0.0, 1e-10, 1.0, hbar=1e300)
+    for route in (effective_hamiltonian, effective_hamiltonian_fd):
+        flags = route(width, taus).ill_conditioned.tolist()
+        assert flags == [True, False, False, False, False]
+        assert route(wide, taus * 1e300).ill_conditioned.tolist() == flags
+
+
 # ---------------------------------------------------------------------------
 # generalized inverse-power model
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 import warnings
 
 import mpmath as mp
@@ -23,7 +24,8 @@ from khalfin import (
 )
 from khalfin import survival
 from khalfin.effham import _conditioning
-from khalfin.errors import AmplitudeUnderflowError, DomainError, RangeOverflowError
+from khalfin.errors import (AmplitudeUnderflowError, DomainError, KhalfinError,
+                            RangeOverflowError)
 
 EPS = float(np.finfo(float).eps)
 
@@ -108,7 +110,7 @@ def test_quadrature_error_estimate_is_relative(x, t):
     q = amplitude_quadrature(d, t)
     ref = _mpmath_amplitude(x, t)
     assert abs(q.value - ref) <= q.est_error
-    flagged = t > 0 and _conditioning(d, np.array([t]), np.array([abs(ref)]))[0]
+    flagged = t > 0 and _conditioning(d, np.array([0.5 * t]), np.array([abs(ref)]))[0]
     if not flagged:
         pole = d.norm_n * math.exp(-0.5 * t)
         assert q.est_error <= (1e-10 + 8.0 * EPS * x * t) * max(abs(ref), pole)
@@ -384,6 +386,109 @@ def test_no_route_warns_or_reads_a_silent_zero_where_v_nears_the_double_range():
         assert abs(amplitude_asymptotic(d, t).value) == pytest.approx(4.632e-309, rel=1e-3)
         delta = delta_amplitude(d, t)
         assert delta != 0 and math.isfinite(abs(delta))
+
+
+def test_h_routes_never_warn_where_the_tail_term_overflows():
+    # at t = 1e-320 the envelope's tail term sqrt(A)/2v overflows: the
+    # sample is flagged, with no RuntimeWarning, and the stencil refused
+    d = make_density(0.0, 1e-3, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = effective_hamiltonian(d, 1e-320)
+        assert cmath.isfinite(s.h) and s.ill_conditioned
+        with pytest.raises(DomainError):
+            effective_hamiltonian_fd(d, 1e-320)
+
+
+def test_fd_stencil_past_the_double_range_is_refused_without_a_warning():
+    # u = x tau is finite at t, but not at t plus the step
+    d = make_density(0.0, 1e300, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeOverflowError, match="stencil"):
+            effective_hamiltonian_fd(d, sys.float_info.max / 1e300 * (1 - 1e-7))
+
+
+# ---------------------------------------------------------------------------
+# width units: the energy origin and the width scale
+# ---------------------------------------------------------------------------
+
+_AMPLITUDE_ROUTES = (amplitude_closed_form, amplitude_quadrature, amplitude_asymptotic)
+_H_ROUTES = (effective_hamiltonian, effective_hamiltonian_fd)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    e_min=st.floats(min_value=-1e12, max_value=1e12),
+    x=_log_uniform(-3.0, 6.0),
+    t=_log_uniform(-3.0, 5.0),
+)
+@example(e_min=-1e3, x=100.0, t=45.16)   # the CLI's --fd-check failed here
+@example(e_min=1e9, x=100.0, t=3.0)
+@example(e_min=1.5589276573631148, x=10.0, t=100.0)   # (e_min + x) - e_min is inexact
+def test_energy_origin_shifts_h_and_phases_a(e_min, x, t):
+    # moving e_min and e0 together multiplies a and delta_a by the
+    # threshold phase e^{-i e_min t} and shifts h by e_min, to rounding.
+    # x is taken as e0 - e_min, exact in both cases (Fast2Sum: s - a is
+    # exact for s = a + b rounded, where |a| >= |b|)
+    e0 = e_min + x
+    x, e_min = (e0 - e_min, e_min) if abs(e_min) >= x else (x, e0 - x)
+    d, width = make_density(e_min, e0, 1.0), make_density(0.0, x, 1.0)
+    phase = cmath.exp(-1j * (e_min * t))
+    for route in _AMPLITUDE_ROUTES:
+        a_w = route(width, t).value
+        assert abs(route(d, t).value - a_w * phase) <= 4 * EPS * abs(a_w)
+    delta_w = delta_amplitude(width, t)
+    assert abs(delta_amplitude(d, t) - delta_w * phase) <= 4 * EPS * abs(delta_w)
+    for route in _H_ROUTES:
+        s, s_w = route(d, t), route(width, t)
+        assert abs(s.h - (e_min + s_w.h)) <= 2 * EPS * (abs(e_min) + abs(s_w.h))
+        assert s.ill_conditioned == s_w.ill_conditioned
+
+
+def _normal(v: float) -> bool:
+    return sys.float_info.min <= abs(v) <= sys.float_info.max
+
+
+def _scaled(route, d, t, scale: float):
+    """(value / scale, ill_conditioned or None) of route(d, t), or None
+    where the route raises a KhalfinError or a component is subnormal."""
+    try:
+        s = route(d, t)
+    except KhalfinError:
+        return None
+    value = getattr(s, "value", getattr(s, "h", s))
+    if not all(_normal(c) or c == 0.0 for c in (value.real, value.imag)):
+        return None
+    return complex(value.real / scale, value.imag / scale), getattr(s, "ill_conditioned", None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(min_value=-1000, max_value=1000),
+    m=st.integers(min_value=-1000, max_value=1000),
+    x=_log_uniform(-3.0, 8.0),
+    tau=_log_uniform(-3.0, 5.0),
+)
+@example(k=-571, m=195, x=29959145.951298103, tau=659.2856825858322)
+@example(k=-1000, m=-1000, x=38006086.91072239, tau=50149.00650063251)
+@example(k=-1000, m=-1000, x=100.0, tau=100.0)
+def test_routes_scale_with_powers_of_two_bit_for_bit(k, m, x, tau):
+    # with gamma0 = 2^k and hbar = 2^m every route computes in width units
+    # and scales once at the end: a is the width-unit value, delta_a and h
+    # are 2^k times it, bit for bit (hamiltonian_asymptotic is left to the
+    # late-time energy's 8-ulp property in test_redshift)
+    gamma0, hbar = math.ldexp(1.0, k), math.ldexp(1.0, m)
+    t, e0 = tau * (hbar / gamma0), x * gamma0
+    assume(_normal(hbar / gamma0) and _normal(t) and _normal(e0))
+    d, width = make_density(0.0, e0, gamma0, hbar), make_density(0.0, x, 1.0)
+    for route, scale in ([(r, 1.0) for r in _AMPLITUDE_ROUTES]
+                         + [(delta_amplitude, gamma0)]
+                         + [(r, gamma0) for r in _H_ROUTES]):
+        got = _scaled(route, d, t, scale)
+        want = _scaled(route, width, tau, 1.0)
+        if got is not None and want is not None:
+            assert got == want, route.__name__
 
 
 # ---------------------------------------------------------------------------
