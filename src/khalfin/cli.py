@@ -6,8 +6,11 @@ corresponding config field.  Flags are read straight from the table
 _PARAMS, as "--flag value" or "--flag=value", in full or by a unique
 prefix; a value may be a negative number; -h or --help prints a usage
 line.  Output is CSV (comma separator, '.' decimal, mandatory header) or
-JSON (one line, {"meta": ..., "rows": ...} with sorted keys), with
-shortest-round-trip float formatting so repeated runs are byte identical.
+JSON (one line: the bytes json.dumps(doc, sort_keys=True) prints for
+doc = {"meta": ..., "rows": ...}), with shortest-round-trip float
+formatting so repeated runs are byte identical.  Each output value is
+turned into text once per column: a column passed under two headers as
+one object, or a time repeated once per route, is converted once.
 
 Exit status: 0 success, 2 configuration/validation error (a refused argv
 among them), 3 numerical failure.
@@ -16,11 +19,15 @@ among them), 3 numerical failure.
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -208,17 +215,86 @@ def _run_config(args: dict) -> RunConfig:
     return RunConfig(**values, given=frozenset(values))
 
 
-def _emit(columns: dict, cfg: RunConfig):
-    """Write a table given as {header: list of Python scalars}.
+# a column that holds each of values `times` times in a row, as amplitude's
+# t column holds each time once per route
+_Runs = namedtuple("_Runs", "values times")
+# json.dumps's text of a cell of each exact type; any other type (a bool,
+# a float in a mixed column) goes through json.dumps itself
+_JSON_TEXT = {int: int.__repr__, str: encode_basestring_ascii}
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-    CSV cells are str() of each value, which for a Python float is its
-    shortest round-trip repr; JSON is one line from the C encoder."""
+
+def _csv_texts(col) -> list:
+    return list(map(str, col))
+
+
+def _json_texts(col) -> list:
+    """The text json.dumps prints for each cell of a column."""
+    try:
+        texts = list(map(float.__repr__, col))
+    except TypeError:   # not every cell is a float
+        kinds = set(map(type, col))
+        if len(kinds) == 1:
+            return list(map(_JSON_TEXT.get(kinds.pop(), json.dumps), col))
+        return [_JSON_TEXT.get(type(v), json.dumps)(v) for v in col]
+    # a sum of floats is finite only if every cell is
+    return texts if math.isfinite(sum(col)) else [_JSON_NON_FINITE.get(s, s) for s in texts]
+
+
+def _runs_texts(col: _Runs, convert) -> list:
+    """convert's texts of a _Runs column's values, each repeated `times`
+    times."""
+    texts = convert(col.values)
+    return texts if col.times == 1 else list(chain.from_iterable(zip(*[texts] * col.times)))
+
+
+def _texts_once(cols: list, convert, every: bool) -> list:
+    """cols with the cells of each column object turned into text by convert
+    once: of every column if every, else of a _Runs column and of a column
+    object given twice only, the rest being left as they are."""
+    ids = list(map(id, cols))
+    if not every and len(set(ids)) == len(ids) and _Runs not in map(type, cols):
+        return cols
+    texts = dict(zip(ids, cols))
+    for i, col in texts.items():
+        if type(col) is _Runs:
+            texts[i] = _runs_texts(col, convert)
+        elif every or ids.count(i) > 1:
+            texts[i] = convert(col)
+    return list(map(texts.__getitem__, ids))
+
+
+@lru_cache(maxsize=16)   # a subcommand's header gives the same template
+def _json_row(keys: tuple) -> str:
+    """The JSON row template of the sorted keys: each key escaped, its '%'
+    doubled so that the template reads it as text, and a %s for its cell."""
+    return "{" + ": %s, ".join(map(encode_basestring_ascii, map(
+        str.replace, keys, repeat("%"), repeat("%%")))) + ": %s}"
+
+
+def _emit(columns: dict, cfg: RunConfig):
+    """Write a table given as {header: column}, where a column is a
+    sequence of Python scalars or _Runs(values, times).
+
+    Each row is one row template filled in, and each cell is turned into
+    text once: a column passed under two headers as one object, and each
+    value of a _Runs column, are converted once.  CSV cells are str() of
+    each value, for a Python float its shortest round-trip repr, which the
+    template's %s forms for a column read once.  JSON is the bytes
+    json.dumps(doc, sort_keys=True) prints for doc = {"meta": cfg.meta(),
+    "rows": [{header: value, ...}, ...]}, with the keys sorted and escaped
+    once, in the template."""
     if cfg.out_format == "csv":
-        cells = zip(*(map(str, col) for col in columns.values()))
-        text = "\n".join([",".join(columns), *map(",".join, cells)]) + "\n"
+        cells = zip(*_texts_once(list(columns.values()), _csv_texts, every=False))
+        template = ",".join(["%s"] * len(columns))
+        text = "\n".join([",".join(columns), *map(template.__mod__, cells)]) + "\n"
     else:
-        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
-        text = json.dumps({"meta": cfg.meta(), "rows": rows}, sort_keys=True) + "\n"
+        keys = tuple(sorted(columns))
+        cells = zip(*_texts_once(list(map(columns.__getitem__, keys)), _json_texts,
+                                 every=True))
+        text = '{"meta": %s, "rows": [%s]}\n' % (
+            json.dumps(cfg.meta(), sort_keys=True),
+            ", ".join(map(_json_row(keys).__mod__, cells)))
     if cfg.out_path:
         try:
             with open(cfg.out_path, "w") as fh:
@@ -245,7 +321,7 @@ def cmd_amplitude(cfg: RunConfig) -> int:
         value[j::m], est[j::m] = s.value, s.est_error
     a_abs = np.abs(value)
     _emit(dict(zip(_AMPLITUDE_HEADER, (
-        grid.repeat(m).tolist(), value.real.tolist(),
+        _Runs(grid.tolist(), m), value.real.tolist(),
         value.imag.tolist(), a_abs.tolist(), np.square(a_abs).tolist(),
         list(cfg.routes) * grid.size, est.tolist(),
     ))), cfg)
@@ -263,10 +339,10 @@ def cmd_hamiltonian(cfg: RunConfig) -> int:
         s, fd = effective_hamiltonian_fd(d, grid, with_exact=True)
     else:
         s = effective_hamiltonian(d, grid)
+    re_h = s.h.real.tolist()   # the energy column too: it is h.real
     columns = dict(zip(_HAMILTONIAN_HEADER, (
-        grid.tolist(), s.h.real.tolist(), s.h.imag.tolist(), s.energy.tolist(),
-        s.rate.tolist(), [s.route.value] * grid.size,
-        s.ill_conditioned.astype(int).tolist(),
+        grid.tolist(), re_h, s.h.imag.tolist(), re_h, s.rate.tolist(),
+        [s.route.value] * grid.size, s.ill_conditioned.astype(int).tolist(),
     )))
     if cfg.fd_check:
         diff = np.abs(fd.h - s.h) / np.maximum(np.abs(s.h), 1e-300)

@@ -65,13 +65,17 @@ class AmplitudeSample:
 def _sample(route: Route, t: np.ndarray, shape, theta: np.ndarray,
             value: np.ndarray, est: np.ndarray) -> AmplitudeSample:
     """The sample of a route over flat t, in the caller's shape: its a_w
-    times the threshold phase e^{-i theta}, applied only here.  Every route
-    passes through here, so none returns a value, |value|^2 or error
+    times the threshold phase e^{-i theta}, applied only here, and its
+    error estimate plus the rounding of theta, eps |theta| |a|.  Every
+    route passes through here, so none returns a value, |value|^2 or error
     estimate that is not finite."""
-    ok = np.isfinite(np.square(np.abs(value)) + est)
+    a_abs = np.abs(value)
+    ok = np.isfinite(np.square(a_abs) + est)
     if not _all(ok):
         raise RangeOverflowError(f"{route.value} route: a(t={t[~ok][0]:g}) is "
                                  "out of the double range")
+    if np.count_nonzero(theta):   # else the term is +0: every theta is 0 at e_min = 0
+        est = est + _EPS * np.abs(theta) * a_abs
     return AmplitudeSample(_unflat(t, shape), _unflat(value * np.exp(-1j * theta), shape),
                            route, _unflat(est, shape))
 
@@ -101,9 +105,15 @@ def _phase_args(d: NormalizedDensity, t: np.ndarray) -> np.ndarray:
         args = coeffs * t / p.hbar
     ok = np.isfinite(args)
     if not _all(ok):
-        k = np.flatnonzero(~ok.all(axis=0))[0]
-        raise RangeOverflowError(f"t = {t[k]:g}: the phase arguments are out of the "
-                                 "double range")
+        # coeffs t can overflow where coeffs t/hbar does not (hbar > 1):
+        # only there the rows are formed as (coeffs/hbar) t
+        with np.errstate(over="ignore", invalid="ignore"):
+            args = np.where(ok, args, coeffs / p.hbar * t)
+        ok = np.isfinite(args)
+        if not _all(ok):
+            k = np.flatnonzero(~ok.all(axis=0))[0]
+            raise RangeOverflowError(f"t = {t[k]:g}: the phase arguments are out of the "
+                                     "double range")
     return args
 
 
@@ -181,9 +191,9 @@ def _panels(pole_knots, c_from: float, k: np.ndarray, cut: np.ndarray,
     return lo, hi, point, np.where(slot < 8, 2, lo >= c_from)
 
 
-def _quadrature(d: NormalizedDensity, t: np.ndarray, u, v, theta):
+def _quadrature(d: NormalizedDensity, t: np.ndarray, u, v):
     """(a_w, est_error) of the quadrature route on a flat array of t >= 0
-    and its rows of _phase_args, from one call of numerics.quad."""
+    and its rows u, v of _phase_args, from one call of numerics.quad."""
     p = d.params
     # y in units of y0 = 1 + x, so that nothing overflows: w = y/y0 on
     # [0, 1], with the pole of width xs at w = h, and s = 1/w on (0, 1].
@@ -258,8 +268,9 @@ def _quadrature(d: NormalizedDensity, t: np.ndarray, u, v, theta):
     below = (-1j * scale) * (j + closed)
     size = pole_size + np.abs(below)
     # rounding floor: the exponent -v - iu (three roundings, as in the
-    # closed form), the threshold phase (two) and a few ulps of each term
-    floor = (1.5 * _EPS) * np.hypot(v, u) * phased + _EPS * (np.abs(theta) + 8.0) * size
+    # closed form) and a few ulps of each term; _sample adds the threshold
+    # phase's
+    floor = (1.5 * _EPS) * np.hypot(v, u) * phased + 8.0 * _EPS * size
     return pole + below, scale * err + floor
 
 
@@ -281,15 +292,15 @@ def amplitude_quadrature(d: NormalizedDensity, t) -> AmplitudeSample:
     """
     tt, shape = _times(t)
     u, v, theta = _phase_args(d, tt)
-    return _sample(Route.QUADRATURE, tt, shape, theta, *_quadrature(d, tt, u, v, theta))
+    return _sample(Route.QUADRATURE, tt, shape, theta, *_quadrature(d, tt, u, v))
 
 
 def amplitude_asymptotic(d: NormalizedDensity, t, order: int = 2) -> AmplitudeSample:
     """Pole term plus the first `order` inverse-power background terms of
     a_w, (i N / 2 pi) sum_k (-1)^k k! (z2^{-(k+1)} - z1^{-(k+1)}).
 
-    est_error is the magnitude of the first omitted power term.  t may be
-    a scalar or an array.
+    est_error is the magnitude of the first omitted power term, plus the
+    rounding of the threshold phase.  t may be a scalar or an array.
     """
     tt, shape = _times(t, positive=True)
     if order not in (1, 2):

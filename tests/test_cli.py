@@ -251,6 +251,81 @@ def test_json_rows_match_csv_rows(capsys, demo_catalog_path, argv):
                 assert float(cell) == row[name]
 
 
+def _reference_emit(columns: dict, cfg) -> str:
+    """What the table writer printed before it formed each cell's text once:
+    str() cells joined row by row, or one json.dumps of the document with
+    a dict per row."""
+    columns = {name: [v for v in col.values for _ in range(col.times)]
+               if isinstance(col, cli._Runs) else list(col)
+               for name, col in columns.items()}
+    if cfg.out_format == "csv":
+        cells = zip(*(map(str, col) for col in columns.values()))
+        return "\n".join([",".join(columns), *map(",".join, cells)]) + "\n"
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    return json.dumps({"meta": cfg.meta(), "rows": rows}, sort_keys=True) + "\n"
+
+
+# floats over the whole double range, +-0.0, subnormals, NaN and +-inf among
+# them; text with non-ASCII characters, backslashes, quotes, control
+# characters and a '%', which the JSON row template must read as text
+_cell_floats = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+                                              math.nan, math.inf, -math.inf])
+_cell_texts = st.text(st.characters(exclude_categories=("Cs",)) | st.sampled_from(
+    ["\\", '"', "%", "s", "\x00", "\x1f", "\x7f", "\u2028", "\xe9", "\U0001f600"]),
+    max_size=6)
+_cell_columns = (
+    lambda n: st.lists(_cell_floats, min_size=n, max_size=n),
+    lambda n: st.lists(st.integers(), min_size=n, max_size=n),
+    lambda n: st.lists(_cell_texts, min_size=n, max_size=n),
+    # redshift's delta_pair_check: "" for the first row, then ints
+    lambda n: st.lists(st.integers(0, 1), min_size=n - 1, max_size=n - 1).map(
+        lambda tail: ["", *tail]),
+    lambda n: st.lists(_cell_floats | st.integers() | _cell_texts | st.booleans()
+                       | st.none(), min_size=n, max_size=n),
+)
+
+
+@st.composite
+def _tables(draw):
+    """{header: column} as the subcommands hand it to _emit: columns of
+    floats, ints, text, "" then ints, or mixed cells; a _Runs column of 1 to
+    5 values, each 1 to 3 times (the routes), so one row up; and a column
+    object passed under a second header."""
+    values, times = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    n = values * times
+    names = draw(st.lists(_cell_texts, min_size=1, max_size=7, unique=True))
+    columns = {}
+    for name in names:
+        kind = draw(st.sampled_from(["runs", *_cell_columns, *["twice"][:len(columns)]]))
+        if kind == "twice":   # a column object drawn before, under this header too
+            columns[name] = draw(st.sampled_from(list(columns.values())))
+        elif kind == "runs":
+            columns[name] = cli._Runs(draw(st.lists(_cell_floats, min_size=values,
+                                                   max_size=values)), times)
+        else:
+            columns[name] = draw(kind(n))
+    return columns
+
+
+@settings(max_examples=500, deadline=None)
+@given(columns=_tables(), fmt=st.sampled_from(["csv", "json"]))
+@example(columns={"t": cli._Runs([0.5, 2.0], 3),
+                  "re": [1.0, -0.0, math.nan, 1e308, 5e-324, 7.0],
+                  "route": ["a", "b\u00e9", "c\\"] * 2, "flag": [0, 1] * 3},
+         fmt="json")
+@example(columns={"id": ["A%s", "B"], "e0%s": [math.inf, -math.inf],
+                  "delta_pair_check": ["", 1]}, fmt="json")
+def test_table_writer_prints_what_the_reference_writers_print(columns, fmt):
+    # the writer turns each cell into text once (a column passed twice, or
+    # a _Runs column's value, too) and joins rows from one template; its
+    # bytes are the row-by-row str() join and json.dumps of the document
+    cfg = cli.RunConfig(out_format=fmt)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(columns, cfg)
+    assert out.getvalue() == _reference_emit(columns, cfg)
+
+
 @pytest.mark.parametrize("x, t_start, t_stop", [
     ("74487121.5675606", "12614.29308865845", "12615"),
     ("434010.263644744", "42986623.47082272", "42986624"),
@@ -278,6 +353,48 @@ def test_closed_form_deep_in_the_tail(capsys, x, t_start, t_stop):
             scale = float(n / (2 * mp.pi) * (abs(e1s[0]) + abs(e1s[1])))
         assert abs(a - ref) <= 4.0 * 2.0 ** -52 * scale
         assert abs(a.imag - ref.imag) <= 1e-13 * abs(ref)
+
+
+def test_table_writer_converts_each_cell_once():
+    # str() runs once per cell: once for a column passed under two headers
+    # as one object, and once per value of a _Runs column
+    calls = []
+
+    class Cell(float):
+        def __str__(self):
+            calls.append(self)
+            return float.__repr__(self)
+
+    shared = [Cell(0.5), Cell(-0.0)]
+    columns = {"t": cli._Runs([Cell(2.0)], 2), "re_h": shared, "energy": shared,
+               "rate": [Cell(1.0), Cell(3.0)]}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(columns, cli.RunConfig())
+    assert out.getvalue() == "t,re_h,energy,rate\n2.0,0.5,0.5,1.0\n2.0,-0.0,-0.0,3.0\n"
+    assert len(calls) == 5
+
+
+def test_every_route_bounds_its_error_at_a_large_energy_origin(capsys):
+    # theta = e_min t/hbar reaches 1e12 here, and its rounding,
+    # eps |theta| |a|, is part of every route's est_error.  The reference
+    # forms u and theta in mpmath: from the float-rounded products it would
+    # inherit their rounding
+    status, out, _ = run(capsys, "amplitude", "--x", "100", "--emin", "1e9",
+                         "--points", "40", "--routes", "closed_form,quadrature,asymptotic")
+    assert status == EXIT_OK
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 120
+    for cells in rows:
+        a, est = complex(float(cells[1]), float(cells[2])), float(cells[6])
+        with mp.workdps(50):
+            t = mp.mpf(cells[0])
+            u, v, theta = 100 * t, t / 2, mp.mpf(1e9) * t
+            n = 1 / (mp.mpf(1) / 2 + mp.atan(200) / mp.pi)
+            e1s = [mp.exp(z) * mp.e1(z) for z in (mp.mpc(v, -u), mp.mpc(-v, -u))]
+            ref = complex(mp.expj(-theta) * (n * mp.exp(mp.mpc(-v, -u))
+                                              + 1j * n / (2 * mp.pi) * (e1s[1] - e1s[0])))
+        assert abs(a - ref) <= est, cells
 
 
 @pytest.mark.parametrize("flag", [True, False])
