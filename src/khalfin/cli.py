@@ -9,8 +9,8 @@ line.  Output is CSV (comma separator, '.' decimal, mandatory header) or
 JSON (one line: the bytes json.dumps(doc, sort_keys=True) prints for
 doc = {"meta": ..., "rows": ...}), with shortest-round-trip float
 formatting so repeated runs are byte identical.  Each output value is
-turned into text once per column: a column passed under two headers as
-one object, or a time repeated once per route, is converted once.
+turned into text once: a column passed under two headers as one object
+is converted once.
 
 Exit status: 0 success, 2 configuration/validation error (a refused argv
 among them), 3 numerical failure.
@@ -26,7 +26,7 @@ import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
@@ -215,9 +215,6 @@ def _run_config(args: dict) -> RunConfig:
     return RunConfig(**values, given=frozenset(values))
 
 
-# a column that holds each of values `times` times in a row, as amplitude's
-# t column holds each time once per route
-_Runs = namedtuple("_Runs", "values times")
 # json.dumps's text of a cell of each exact type; any other type (a bool,
 # a float in a mixed column) goes through json.dumps itself
 _JSON_TEXT = {int: int.__repr__, str: encode_basestring_ascii}
@@ -241,25 +238,16 @@ def _json_texts(col) -> list:
     return texts if math.isfinite(sum(col)) else [_JSON_NON_FINITE.get(s, s) for s in texts]
 
 
-def _runs_texts(col: _Runs, convert) -> list:
-    """convert's texts of a _Runs column's values, each repeated `times`
-    times."""
-    texts = convert(col.values)
-    return texts if col.times == 1 else list(chain.from_iterable(zip(*[texts] * col.times)))
-
-
 def _texts_once(cols: list, convert, every: bool) -> list:
     """cols with the cells of each column object turned into text by convert
-    once: of every column if every, else of a _Runs column and of a column
-    object given twice only, the rest being left as they are."""
+    once: of every column if every, else of a column object given twice
+    only, the rest being left as they are."""
     ids = list(map(id, cols))
-    if not every and len(set(ids)) == len(ids) and _Runs not in map(type, cols):
+    if not every and len(set(ids)) == len(ids):
         return cols
     texts = dict(zip(ids, cols))
     for i, col in texts.items():
-        if type(col) is _Runs:
-            texts[i] = _runs_texts(col, convert)
-        elif every or ids.count(i) > 1:
+        if every or ids.count(i) > 1:
             texts[i] = convert(col)
     return list(map(texts.__getitem__, ids))
 
@@ -273,14 +261,13 @@ def _json_row(keys: tuple) -> str:
 
 
 def _emit(columns: dict, cfg: RunConfig):
-    """Write a table given as {header: column}, where a column is a
-    sequence of Python scalars or _Runs(values, times).
+    """Write a table given as {header: list of Python scalars}.
 
     Each row is one row template filled in, and each cell is turned into
-    text once: a column passed under two headers as one object, and each
-    value of a _Runs column, are converted once.  CSV cells are str() of
-    each value, for a Python float its shortest round-trip repr, which the
-    template's %s forms for a column read once.  JSON is the bytes
+    text once: a column passed under two headers as one object is
+    converted once.  CSV cells are str() of each value, for a Python float
+    its shortest round-trip repr, which the template's %s forms for a
+    column read once.  JSON is the bytes
     json.dumps(doc, sort_keys=True) prints for doc = {"meta": cfg.meta(),
     "rows": [{header: value, ...}, ...]}, with the keys sorted and escaped
     once, in the template."""
@@ -321,7 +308,7 @@ def cmd_amplitude(cfg: RunConfig) -> int:
         value[j::m], est[j::m] = s.value, s.est_error
     a_abs = np.abs(value)
     _emit(dict(zip(_AMPLITUDE_HEADER, (
-        _Runs(grid.tolist(), m), value.real.tolist(),
+        grid.repeat(m).tolist(), value.real.tolist(),
         value.imag.tolist(), a_abs.tolist(), np.square(a_abs).tolist(),
         list(cfg.routes) * grid.size, est.tolist(),
     ))), cfg)

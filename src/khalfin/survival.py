@@ -74,7 +74,9 @@ def _sample(route: Route, t: np.ndarray, shape, theta: np.ndarray,
     if not _all(ok):
         raise RangeOverflowError(f"{route.value} route: a(t={t[~ok][0]:g}) is "
                                  "out of the double range")
-    if np.count_nonzero(theta):   # else the term is +0: every theta is 0 at e_min = 0
+    # the term is +0 where every theta is 0 (e_min = 0), and skipped there:
+    # its four array ops take 2.6 us a call, the test 0.6 (2-vCPU host)
+    if np.count_nonzero(theta):
         est = est + _EPS * np.abs(theta) * a_abs
     return AmplitudeSample(_unflat(t, shape), _unflat(value * np.exp(-1j * theta), shape),
                            route, _unflat(est, shape))

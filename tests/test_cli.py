@@ -255,9 +255,6 @@ def _reference_emit(columns: dict, cfg) -> str:
     """What the table writer printed before it formed each cell's text once:
     str() cells joined row by row, or one json.dumps of the document with
     a dict per row."""
-    columns = {name: [v for v in col.values for _ in range(col.times)]
-               if isinstance(col, cli._Runs) else list(col)
-               for name, col in columns.items()}
     if cfg.out_format == "csv":
         cells = zip(*(map(str, col) for col in columns.values()))
         return "\n".join([",".join(columns), *map(",".join, cells)]) + "\n"
@@ -288,9 +285,9 @@ _cell_columns = (
 @st.composite
 def _tables(draw):
     """{header: column} as the subcommands hand it to _emit: columns of
-    floats, ints, text, "" then ints, or mixed cells; a _Runs column of 1 to
-    5 values, each 1 to 3 times (the routes), so one row up; and a column
-    object passed under a second header."""
+    floats, ints, text, "" then ints, or mixed cells; a column of 1 to 5
+    times, each repeated once per route (1 to 3 routes), so one row up; and
+    a column object passed under a second header."""
     values, times = draw(st.integers(1, 5)), draw(st.integers(1, 3))
     n = values * times
     names = draw(st.lists(_cell_texts, min_size=1, max_size=7, unique=True))
@@ -299,9 +296,9 @@ def _tables(draw):
         kind = draw(st.sampled_from(["runs", *_cell_columns, *["twice"][:len(columns)]]))
         if kind == "twice":   # a column object drawn before, under this header too
             columns[name] = draw(st.sampled_from(list(columns.values())))
-        elif kind == "runs":
-            columns[name] = cli._Runs(draw(st.lists(_cell_floats, min_size=values,
-                                                   max_size=values)), times)
+        elif kind == "runs":   # as amplitude's t column, one row per route
+            columns[name] = [v for v in draw(st.lists(_cell_floats, min_size=values,
+                                                      max_size=values)) for _ in range(times)]
         else:
             columns[name] = draw(kind(n))
     return columns
@@ -309,16 +306,16 @@ def _tables(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(columns=_tables(), fmt=st.sampled_from(["csv", "json"]))
-@example(columns={"t": cli._Runs([0.5, 2.0], 3),
+@example(columns={"t": [0.5, 0.5, 0.5, 2.0, 2.0, 2.0],
                   "re": [1.0, -0.0, math.nan, 1e308, 5e-324, 7.0],
                   "route": ["a", "b\u00e9", "c\\"] * 2, "flag": [0, 1] * 3},
          fmt="json")
 @example(columns={"id": ["A%s", "B"], "e0%s": [math.inf, -math.inf],
                   "delta_pair_check": ["", 1]}, fmt="json")
 def test_table_writer_prints_what_the_reference_writers_print(columns, fmt):
-    # the writer turns each cell into text once (a column passed twice, or
-    # a _Runs column's value, too) and joins rows from one template; its
-    # bytes are the row-by-row str() join and json.dumps of the document
+    # the writer turns each cell into text once (a column passed twice,
+    # too) and joins rows from one template; its bytes are the row-by-row
+    # str() join and json.dumps of the document
     cfg = cli.RunConfig(out_format=fmt)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -357,7 +354,7 @@ def test_closed_form_deep_in_the_tail(capsys, x, t_start, t_stop):
 
 def test_table_writer_converts_each_cell_once():
     # str() runs once per cell: once for a column passed under two headers
-    # as one object, and once per value of a _Runs column
+    # as one object
     calls = []
 
     class Cell(float):
@@ -366,13 +363,13 @@ def test_table_writer_converts_each_cell_once():
             return float.__repr__(self)
 
     shared = [Cell(0.5), Cell(-0.0)]
-    columns = {"t": cli._Runs([Cell(2.0)], 2), "re_h": shared, "energy": shared,
+    columns = {"t": [Cell(2.0), Cell(2.0)], "re_h": shared, "energy": shared,
                "rate": [Cell(1.0), Cell(3.0)]}
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         cli._emit(columns, cli.RunConfig())
     assert out.getvalue() == "t,re_h,energy,rate\n2.0,0.5,0.5,1.0\n2.0,-0.0,-0.0,3.0\n"
-    assert len(calls) == 5
+    assert len(calls) == 6
 
 
 def test_every_route_bounds_its_error_at_a_large_energy_origin(capsys):

@@ -450,18 +450,14 @@ def _normal(v: float) -> bool:
     return sys.float_info.min <= abs(v) <= sys.float_info.max
 
 
-def _scaled(route, d, t, scale: float):
-    """(value / scale, ill_conditioned or None) of route(d, t): the
-    KhalfinError where the route raises one, None where a component is
-    subnormal."""
+def _result(route, d, t):
+    """(value, ill_conditioned or None) of route(d, t), or the KhalfinError
+    it raises."""
     try:
         s = route(d, t)
     except KhalfinError as exc:
         return exc
-    value = getattr(s, "value", getattr(s, "h", s))
-    if not all(_normal(c) or c == 0.0 for c in (value.real, value.imag)):
-        return None
-    return complex(value.real / scale, value.imag / scale), getattr(s, "ill_conditioned", None)
+    return getattr(s, "value", getattr(s, "h", s)), getattr(s, "ill_conditioned", None)
 
 
 @settings(max_examples=150, deadline=None)
@@ -490,18 +486,18 @@ def test_routes_scale_with_powers_of_two_bit_for_bit(k, m, x, tau):
     for route, scale in ([(r, 1.0) for r in _AMPLITUDE_ROUTES]
                          + [(delta_amplitude, gamma0)]
                          + [(r, gamma0) for r in _H_ROUTES]):
-        got = _scaled(route, d, t, scale)
-        want = _scaled(route, width, tau, 1.0)
+        got, want = _result(route, d, t), _result(route, width, tau)
         if isinstance(want, KhalfinError):
             continue
         if isinstance(got, KhalfinError):
-            assert want is not None and not cmath.isfinite(want[0] * scale), (
-                route.__name__, got)
-        # bit for bit where no component of the width-unit value underflows
-        # (to a subnormal, or to 0) at the scale
-        elif got is not None and want is not None and all(
-                c == 0.0 or _normal(c * scale) for c in (want[0].real, want[0].imag)):
-            assert got == want, route.__name__
+            assert not cmath.isfinite(want[0] * scale), (route.__name__, got)
+            continue
+        assert got[1] == want[1], route.__name__
+        # each component bit for bit where it does not underflow (to a
+        # subnormal, or to 0) at the scale
+        for g, w in ((got[0].real, want[0].real), (got[0].imag, want[0].imag)):
+            if w == 0.0 or _normal(w * scale):
+                assert g / scale == w, route.__name__
 
 
 # ---------------------------------------------------------------------------
