@@ -32,14 +32,14 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, survival
+from . import __version__
 from .crossover import APPROX_VALIDITY_X, solve_crossover
 from .density import NormalizedDensity, ResonanceParams
 from .effham import effective_hamiltonian, effective_hamiltonian_fd
 from .errors import CatalogError, ConfigError, DomainError, KhalfinError
 from .redshift import (DopplerFrame, crossover_times, load_catalog,
                        observed_line_table)
-from .survival import Route
+from .survival import Route, amplitude_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -298,17 +298,11 @@ _AMPLITUDE_HEADER = ["t", "re_a", "im_a", "abs_a", "p_t", "route", "est_error"]
 def cmd_amplitude(cfg: RunConfig) -> int:
     d = NormalizedDensity.from_params(cfg.model())
     grid = cfg.time_grid()
-    m = len(cfg.routes)
-    # row k * m + j holds time k and route j
-    value = np.empty(grid.size * m, dtype=complex)
-    est = np.empty(grid.size * m)
-    # route r is survival.amplitude_<r>, looked up as the command runs
-    for j, r in enumerate(cfg.routes):
-        s = getattr(survival, f"amplitude_{r}")(d, grid)
-        value[j::m], est[j::m] = s.value, s.est_error
+    # raveled, row k * m + j of the table holds time k and route j of m
+    value, est = (col.ravel() for col in amplitude_table(d, grid, cfg.routes))
     a_abs = np.abs(value)
     _emit(dict(zip(_AMPLITUDE_HEADER, (
-        grid.repeat(m).tolist(), value.real.tolist(),
+        grid.repeat(len(cfg.routes)).tolist(), value.real.tolist(),
         value.imag.tolist(), a_abs.tolist(), np.square(a_abs).tolist(),
         list(cfg.routes) * grid.size, est.tolist(),
     ))), cfg)

@@ -29,7 +29,7 @@ from .errors import (
     RangeOverflowError,
 )
 from .numerics import _all, _complex, _EPS, _unflat
-from .survival import AmplitudeSample, _closed_form, _phase_args, _times
+from .survival import AmplitudeSample, _closed_form, _phase_args, _times, _unit_pole
 
 
 class HamiltonianRoute(enum.Enum):
@@ -102,7 +102,7 @@ def effective_hamiltonian(d: NormalizedDensity, t) -> HamiltonianSample:
     """
     tt, shape = _times(t, positive=True)
     u, v, _ = _phase_args(d, tt)
-    a, _, delta = _closed_form(d, u, v, with_delta=True)
+    a, _, delta = _closed_form(d, u, v, _unit_pole(u, v), with_delta=True)
     return _exact_ratio(d, tt, shape, v, a, delta)
 
 
@@ -129,7 +129,7 @@ def effective_hamiltonian_fd(d: NormalizedDensity, t, with_exact: bool = False):
         us = np.concatenate([u, p.x * vs[tt.size:] * 2.0])   # u = x tau
     if not _all(np.isfinite(us)):
         raise RangeOverflowError("finite-difference stencil out of the double range")
-    values, _, delta = _closed_form(d, us, vs, with_delta=with_exact)
+    values, _, delta = _closed_form(d, us, vs, _unit_pole(us, vs), with_delta=with_exact)
     a, ap, am, ahp, ahm = values.reshape(5, -1)
     a_abs = np.abs(a)
     _require_nonvanishing(tt, a_abs)

@@ -12,7 +12,7 @@ exponential era (gamma0 t / hbar up to ~1e5):
 
 with v = gamma0 t / (2 hbar), u = (e0 - e_min) t / hbar,
 z1 = v - i u, z2 = -v - i u and E1s(z) = e^z E1(z).  Every route computes
-a_w, in width units (tau = 2v, u = x tau); only _sample applies the phase.
+a_w, in width units (tau = 2v, u = x tau); amplitude_table applies the phase.
 """
 
 from __future__ import annotations
@@ -62,26 +62,6 @@ class AmplitudeSample:
         return p if np.ndim(p) else float(p)
 
 
-def _sample(route: Route, t: np.ndarray, shape, theta: np.ndarray,
-            value: np.ndarray, est: np.ndarray) -> AmplitudeSample:
-    """The sample of a route over flat t, in the caller's shape: its a_w
-    times the threshold phase e^{-i theta}, applied only here, and its
-    error estimate plus the rounding of theta, eps |theta| |a|.  Every
-    route passes through here, so none returns a value, |value|^2 or error
-    estimate that is not finite."""
-    a_abs = np.abs(value)
-    ok = np.isfinite(np.square(a_abs) + est)
-    if not _all(ok):
-        raise RangeOverflowError(f"{route.value} route: a(t={t[~ok][0]:g}) is "
-                                 "out of the double range")
-    # the term is +0 where every theta is 0 (e_min = 0), and skipped there:
-    # its four array ops take 2.6 us a call, the test 0.6 (2-vCPU host)
-    if np.count_nonzero(theta):
-        est = est + _EPS * np.abs(theta) * a_abs
-    return AmplitudeSample(_unflat(t, shape), _unflat(value * np.exp(-1j * theta), shape),
-                           route, _unflat(est, shape))
-
-
 def _times(t, positive: bool = False):
     """t as a flat float array, and its shape, checked before any
     arithmetic: every t >= 0 (> 0 when positive) and finite.  A NaN or
@@ -122,7 +102,12 @@ def _phase_args(d: NormalizedDensity, t: np.ndarray) -> np.ndarray:
 _SIGNS = np.array([[1.0], [-1.0]])
 
 
-def _closed_form(d: NormalizedDensity, u, v, with_delta: bool = False):
+def _unit_pole(u, v):
+    """e^{-v - iu}, the pole term of a_w over N, on rows u, v of _phase_args."""
+    return np.exp(_complex(-v, -u))
+
+
+def _closed_form(d: NormalizedDensity, u, v, unit, with_delta: bool = False):
     """(a_w, est_error, delta_a_w = N E1s(z1) / 2 pi or None) on flat rows
     u, v of _phase_args (t > 0 with with_delta), from one E1 call on [z1; z2].
 
@@ -141,24 +126,13 @@ def _closed_form(d: NormalizedDensity, u, v, with_delta: bool = False):
     if joined:   # z = 1 stands in for z2 there, and for z1 unless delta_a needs it
         np.copyto(z[1] if with_delta else z, 1.0, where=degenerate)
     z1, z2 = exp_integral_e1_scaled(z)
-    value = d.norm_n * np.exp(_complex(-v, -u)) + (1j * d.norm_n / TWO_PI) * (z2 - z1)
-    with np.errstate(over="ignore"):   # inf, refused by _sample
+    value = d.norm_n * unit + (1j * d.norm_n / TWO_PI) * (z2 - z1)
+    with np.errstate(over="ignore"):   # inf, refused by amplitude_table
         est = 5e-14 * (1.0 + 2.0 * v)
     if joined:
         np.copyto(value, 1.0, where=degenerate)
         np.copyto(est, 1e-240 * (scale > 0), where=degenerate)
     return value, est, d.norm_n / TWO_PI * z1 if with_delta else None
-
-
-def amplitude_closed_form(d: NormalizedDensity, t) -> AmplitudeSample:
-    """Closed-form survival amplitude; overflow-safe for all t >= 0.
-
-    t may be a scalar or an array; the whole array costs one E1 call.
-    """
-    tt, shape = _times(t)
-    u, v, theta = _phase_args(d, tt)
-    value, est, _ = _closed_form(d, u, v)
-    return _sample(Route.CLOSED_FORM, tt, shape, theta, value, est)
 
 
 # initial knots of the rotated integral: 8 steps of equal ratio in s over
@@ -193,7 +167,7 @@ def _panels(pole_knots, c_from: float, k: np.ndarray, cut: np.ndarray,
     return lo, hi, point, np.where(slot < 8, 2, lo >= c_from)
 
 
-def _quadrature(d: NormalizedDensity, t: np.ndarray, u, v):
+def _quadrature(d: NormalizedDensity, t: np.ndarray, u, v, unit):
     """(a_w, est_error) of the quadrature route on a flat array of t >= 0
     and its rows u, v of _phase_args, from one call of numerics.quad."""
     p = d.params
@@ -236,9 +210,8 @@ def _quadrature(d: NormalizedDensity, t: np.ndarray, u, v):
                        [0.0, 0.0, 0.0]]).take(piece, axis=1)[:, :, None]
     expo = np.array([[0.0, -h, 0.0], [-1.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
     expo = (expo.take(piece, axis=1) * k.take(point))[:, :, None]
-    unit_pole = np.exp(-(v + 1j * u))
     scale = d.norm_n / (TWO_PI * y0)
-    pole = d.norm_n * unit_pole
+    pole = d.norm_n * unit
     pole_size = np.abs(pole)
     phased = pole_size   # the size of the terms that carry the phase e^{-iu}
     closed = 0j
@@ -249,7 +222,7 @@ def _quadrature(d: NormalizedDensity, t: np.ndarray, u, v):
         # piece, [-h/2, min(1, cut) - h], is added in closed form
         # (singularity subtraction: Davis & Rabinowitz, Methods of
         # Numerical Integration, 2nd ed., 1984)
-        g0 = unit_pole / (2j * h)
+        g0 = unit / (2j * h)
         c_piece = piece == 1
         linear[4, c_piece, 0] = g0[point[c_piece]]
         lo[c_piece] -= h
@@ -270,10 +243,72 @@ def _quadrature(d: NormalizedDensity, t: np.ndarray, u, v):
     below = (-1j * scale) * (j + closed)
     size = pole_size + np.abs(below)
     # rounding floor: the exponent -v - iu (three roundings, as in the
-    # closed form) and a few ulps of each term; _sample adds the threshold
-    # phase's
+    # closed form) and a few ulps of each term; amplitude_table adds theta's
     floor = (1.5 * _EPS) * np.hypot(v, u) * phased + 8.0 * _EPS * size
     return pole + below, scale * err + floor
+
+
+def _asymptotic(d: NormalizedDensity, u, v, unit, order: int):
+    """(a_w, est_error) of the asymptotic route on flat rows u, v."""
+    terms = (1j * d.norm_n / TWO_PI) * (_e1s_asym_terms(_complex(-v, -u), order)
+                                        - _e1s_asym_terms(_complex(v, -u), order))
+    pole = d.norm_n * unit
+    value = pole + terms[:order].sum(axis=0)
+    # rounding floor, as in the quadrature route: the exponent -v - iu and
+    # 4 ulps of a_w (errors up to 2.2 eps |a_w| against mpmath); the eps
+    # goes into hypot, which overflows where u and v near the double range
+    floor = 1.5 * np.hypot(_EPS * v, _EPS * u) * np.abs(pole) + 4.0 * _EPS * np.abs(value)
+    return value, np.abs(terms[order]) + floor
+
+
+def amplitude_table(d: NormalizedDensity, t, routes, order: int = 2):
+    """(value, est_error) of a(t) by each of routes (Route members or their
+    names), in t's shape plus a trailing axis of routes.  Each route in turn
+    checks t, gets a_w from its kernel and is refused by name if not finite;
+    the rows and the pole term e^{-v - iu} are formed at the first turn, so
+    the first route to refuse alone wins.  Then est_error gains
+    eps |theta| |a|, and a_w the threshold phase e^{-i theta}."""
+    if not routes:
+        raise DomainError("routes must name at least one route")
+    for j, route in enumerate(map(Route, routes)):
+        tt, shape = _times(t, positive=route is Route.ASYMPTOTIC)
+        if route is Route.ASYMPTOTIC and order not in (1, 2):
+            raise DomainError("order must be 1 or 2")
+        if not j:
+            u, v, theta = _phase_args(d, tt)
+            unit = _unit_pole(u, v)
+            value = np.empty((tt.size, len(routes)), dtype=complex)
+            est = np.empty(value.shape)
+        if route is Route.CLOSED_FORM:
+            value[:, j], est[:, j], _ = _closed_form(d, u, v, unit)
+        elif route is Route.QUADRATURE:
+            value[:, j], est[:, j] = _quadrature(d, tt, u, v, unit)
+        else:
+            value[:, j], est[:, j] = _asymptotic(d, u, v, unit, order)
+        ok = np.isfinite(np.square(np.abs(value[:, j])) + est[:, j])
+        if not _all(ok):
+            raise RangeOverflowError(f"{route.value} route: a(t={tt[~ok][0]:g}) is "
+                                     "out of the double range")
+    est += _EPS * np.abs(theta)[:, None] * np.abs(value)
+    # out of place: NumPy's in-place product of one complex element rounds otherwise
+    value = value * np.exp(-1j * theta)[:, None]
+    return value.reshape(shape + (-1,)), est.reshape(shape + (-1,))
+
+
+def _sample(route: Route, d: NormalizedDensity, t, order: int = 2) -> AmplitudeSample:
+    """The sample of one route: its column of amplitude_table, in t's shape."""
+    value, est = amplitude_table(d, t, (route,), order)
+    tt, shape = _flat(t, float)
+    return AmplitudeSample(_unflat(tt, shape), _unflat(value[..., 0], shape), route,
+                           _unflat(est[..., 0], shape))
+
+
+def amplitude_closed_form(d: NormalizedDensity, t) -> AmplitudeSample:
+    """Closed-form survival amplitude; overflow-safe for all t >= 0.
+
+    t may be a scalar or an array; the whole array costs one E1 call.
+    """
+    return _sample(Route.CLOSED_FORM, d, t)
 
 
 def amplitude_quadrature(d: NormalizedDensity, t) -> AmplitudeSample:
@@ -292,26 +327,18 @@ def amplitude_quadrature(d: NormalizedDensity, t) -> AmplitudeSample:
     t may be a scalar or an array; the whole array costs one call of
     numerics.quad.
     """
-    tt, shape = _times(t)
-    u, v, theta = _phase_args(d, tt)
-    return _sample(Route.QUADRATURE, tt, shape, theta, *_quadrature(d, tt, u, v))
+    return _sample(Route.QUADRATURE, d, t)
 
 
 def amplitude_asymptotic(d: NormalizedDensity, t, order: int = 2) -> AmplitudeSample:
     """Pole term plus the first `order` inverse-power background terms of
     a_w, (i N / 2 pi) sum_k (-1)^k k! (z2^{-(k+1)} - z1^{-(k+1)}).
 
-    est_error is the magnitude of the first omitted power term, plus the
-    rounding of the threshold phase.  t may be a scalar or an array.
+    est_error is the first omitted term, the rounding floor
+    eps (1.5 hypot(u, v) |N e^{-v - iu}| + 4 |a_w|) and the threshold phase's
+    rounding.  t may be a scalar or an array.
     """
-    tt, shape = _times(t, positive=True)
-    if order not in (1, 2):
-        raise DomainError("order must be 1 or 2")
-    u, v, theta = _phase_args(d, tt)
-    terms = (1j * d.norm_n / TWO_PI) * (_e1s_asym_terms(_complex(-v, -u), order)
-                                        - _e1s_asym_terms(_complex(v, -u), order))
-    value = d.norm_n * np.exp(_complex(-v, -u)) + terms[:order].sum(axis=0)
-    return _sample(Route.ASYMPTOTIC, tt, shape, theta, value, np.abs(terms[order]))
+    return _sample(Route.ASYMPTOTIC, d, t, order)
 
 
 def delta_amplitude(d: NormalizedDensity, t):

@@ -1005,15 +1005,47 @@ _route_lists = st.permutations(["closed_form", "quadrature", "asymptotic"]).flat
 @example(head=["hamiltonian"],
          flags=[("--gamma0", "1e-200"), ("--x", "100"), ("--t-start", "1e200"),
                 ("--t-stop", "1e201"), ("--points", "2")])
+# t = 0 is the asymptotic route's error (exit 2), x t past the double range
+# the phase rows' (exit 3): the first route to refuse alone wins
+@example(head=["amplitude", "--routes", "asymptotic,closed_form"],
+         flags=[("--linear-spacing",), ("--t-start", "0"), ("--t-stop", "1e308"),
+                ("--x", "1e10"), ("--points", "3")])
+@example(head=["amplitude", "--routes", "closed_form,asymptotic"],
+         flags=[("--linear-spacing",), ("--t-start", "0"), ("--t-stop", "1e308"),
+                ("--x", "1e10"), ("--points", "3")])
 def test_sweep_fuzz_exits_0_2_or_3_with_finite_rows(tmp_path, head, flags):
-    out = tmp_path / "out.csv"
-    argv = [*head, *(s for flag in flags for s in flag), "--out", str(out)]
-    with contextlib.redirect_stderr(io.StringIO()):
-        status = main(argv)
+    def run(head, name):
+        out, err = tmp_path / name, io.StringIO()
+        with contextlib.redirect_stderr(err):
+            status = main([*head, *(s for flag in flags for s in flag), "--out", str(out)])
+        return status, out.read_text().splitlines() if status == EXIT_OK else None, err.getvalue()
+
+    status, lines, err = run(head, "out.csv")
     assert status in (0, 2, 3)
     if status == EXIT_OK:
-        for row in csv.DictReader(out.open()):
+        for row in csv.DictReader(lines):
             assert all(math.isfinite(float(v)) for k, v in row.items() if k != "route")
+    if head[0] == "amplitude" and "," in head[2]:
+        # each route alone: the table's rows are theirs interleaved, time
+        # by time, or it fails as the first of them to fail alone
+        alone = [run(["amplitude", "--routes", r], f"{r}.csv") for r in head[2].split(",")]
+        failed = [a for a in alone if a[0] != EXIT_OK]
+        if failed:
+            assert (status, err) == (failed[0][0], failed[0][2])
+        else:
+            assert status == EXIT_OK and lines[0] == alone[0][1][0]
+            assert lines[1:] == [row for rows in zip(*(a[1][1:] for a in alone))
+                                 for row in rows]
+
+
+@pytest.mark.parametrize("routes, status", [("asymptotic,closed_form", 2),
+                                             ("closed_form,asymptotic", 3)])
+def test_amplitude_fails_as_its_first_route_to_fail_alone(capsys, routes, status):
+    # t = 0 is the asymptotic route's configuration error; x t = 1e318 is
+    # past the double range, a numerical failure of every route
+    assert main(["amplitude", "--linear-spacing", "--t-start", "0", "--t-stop", "1e308",
+                 "--x", "1e10", "--points", "3", "--routes", routes]) == status
+    assert capsys.readouterr().err.startswith("error: " if status == 2 else "numerical")
 
 
 @pytest.mark.parametrize("value", ["-1e3", "-1e-3", "-2.5E+02"])

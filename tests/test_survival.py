@@ -78,12 +78,12 @@ def test_quadrature_matches_closed_form(x, t):
     assert abs(q - a) <= max(1e-8 * abs(a), 1e-10)
 
 
-def _mpmath_amplitude(x: float, t: float) -> complex:
+def _mpmath_amplitude(x: float, t: float, dps: int = 40) -> complex:
     """a(t) at e_min = 0, gamma0 = hbar = 1 from the closed form, with
-    mpmath's E1 at 40 digits."""
+    mpmath's E1 at dps digits; u = x t is formed in mpmath."""
     if t == 0:
         return 1.0 + 0.0j
-    with mp.workdps(40):
+    with mp.workdps(dps):
         x, t = mp.mpf(x), mp.mpf(t)
         n = 1 / (mp.mpf(1) / 2 + mp.atan(2 * x) / mp.pi)
         z1, z2 = mp.mpc(t / 2, -x * t), mp.mpc(-t / 2, -x * t)
@@ -263,6 +263,19 @@ def test_asymptotic_matches_closed_form_late(d100, t_as_100):
     e1 = amplitude_asymptotic(d100, 10.0 * t_as_100, order=1).est_error
     e2 = amplitude_asymptotic(d100, 10.0 * t_as_100, order=2).est_error
     assert e2 < e1
+
+
+@pytest.mark.parametrize("x, tau", [(1e4, 483.0), (1e4, 4830.0), (1e6, 674.0),
+                                     (1e6, 6740.0), (1e8, 8627.0), (1e8, 86270.0)])
+def test_asymptotic_error_estimate_holds_its_rounding(x, tau):
+    # at 10x and 100x the crossover the first omitted term alone fell
+    # below the rounding of a_w: at x = 1e8, tau = 8627 it was 8.1e-24 |a|
+    # against an error of 4.1e-16 |a|.  The estimate must bound the
+    # error and stay within 1e3 of it, or of eps |a|
+    s = amplitude_asymptotic(make_density(0.0, x, 1.0), tau)
+    ref = _mpmath_amplitude(x, tau, dps=60)
+    error = abs(s.value - ref)
+    assert error <= s.est_error <= 1e3 * max(error, EPS * abs(ref))
 
 
 def test_derivative_identity(d100):
@@ -530,7 +543,7 @@ def test_closed_form_array_equals_scalar_calls(x):
 
 
 def _bits(values) -> list:
-    return np.asarray(values, dtype=complex).view(np.uint64).tolist()
+    return np.ascontiguousarray(values, dtype=complex).view(np.uint64).tolist()
 
 
 _LOG_UNIFORM = st.floats(min_value=-3.0, max_value=4.0).map(lambda e: 10.0 ** e)
@@ -551,6 +564,83 @@ def test_array_call_equals_scalar_calls_bit_for_bit(x, ts):
         singles = [route(d, t) for t in ts]
         assert _bits(s.value) == _bits([r.value for r in singles])
         assert _bits(s.est_error) == _bits([r.est_error for r in singles])
+
+
+_ROUTE_CALLS = dict(zip(Route, _AMPLITUDE_ROUTES))
+
+
+def _table_is_the_single_routes(d, ts, routes) -> bool:
+    """Whether amplitude_table(d, ts, routes) refuses ts, having checked
+    that it raises the error of the first route to refuse alone, or else
+    holds each route's public call as its column, bit for bit."""
+    singles = []
+    for r in routes:
+        try:
+            singles.append(_ROUTE_CALLS[Route(r)](d, ts))
+        except KhalfinError as exc:
+            with pytest.raises(KhalfinError) as table:
+                survival.amplitude_table(d, ts, routes)
+            assert (type(table.value), str(table.value)) == (type(exc), str(exc))
+            return True
+    value, est = survival.amplitude_table(d, ts, routes)
+    assert value.shape == est.shape == np.shape(ts) + (len(routes),)
+    for j, s in enumerate(singles):
+        assert _bits(value[..., j]) == _bits(s.value)
+        assert _bits(est[..., j]) == _bits(s.est_error)
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    routes=st.permutations([r.value for r in Route]).flatmap(
+        lambda routes: st.integers(min_value=1, max_value=3).map(lambda n: routes[:n])),
+    x=_log_uniform(-3.0, 8.0),
+    e_min=st.sampled_from([0.0, 1e3, -1e3]),
+    ts=st.lists(_log_uniform(-3.0, 4.0), min_size=1, max_size=6),
+)
+def test_table_columns_are_the_single_route_calls(routes, x, e_min, ts):
+    # the table walks the routes in order over shared phase rows and pole
+    # term: each column is that route's own call, bit for bit
+    if Route.ASYMPTOTIC.value not in routes:
+        ts = [0.0] + ts
+    _table_is_the_single_routes(make_density(e_min, e_min + x, 1.0), np.array(ts), routes)
+
+
+_NEAR_MAX = make_density(0.0, 1.11e-256 * 6.96e19, 6.96e19, 1.58e-21)
+
+
+@pytest.mark.parametrize("d, ts, routes, error, message", [
+    # t = 0 (the asymptotic route's check) against x t out of the double
+    # range (the phase rows, formed at the first route's turn)
+    (make_density(0.0, 1e10, 1.0), [0.0, 5e307, 1e308], ["asymptotic", "closed_form"],
+     DomainError, "t must be > 0"),
+    (make_density(0.0, 1e10, 1.0), [0.0, 5e307, 1e308], ["closed_form", "asymptotic"],
+     RangeOverflowError, "t = 5e[+]307: the phase arguments"),
+    (make_density(0.0, 100.0, 1.0), [0.0, 1.0], ["quadrature", "asymptotic"],
+     DomainError, "t must be > 0"),
+    (make_density(0.0, 100.0, 1.0), [1.0, math.inf], ["asymptotic", "closed_form"],
+     RangeOverflowError, "t = inf"),
+    # v ~ 1.4e308: the asymptotic route returns, the quadrature route's
+    # k = 2v(1 + x) overflows, the closed form's estimate 5e-14 (1 + 2v) too
+    (_NEAR_MAX, [6.24e267], ["asymptotic", "quadrature", "closed_form"],
+     RangeOverflowError, "quadrature route: at t = 6.24e[+]267, k"),
+    (_NEAR_MAX, [6.24e267], ["asymptotic", "closed_form", "quadrature"],
+     RangeOverflowError, "closed_form route: a[(]t=6.24e[+]267[)]"),
+    # a route's non-finite a(t) is refused at its turn, before the next
+    # route's check of t
+    (_NEAR_MAX, [0.0, 6.24e267], ["closed_form", "asymptotic"],
+     RangeOverflowError, "closed_form route: a[(]t=6.24e[+]267[)]"),
+], ids=["t=0,asymptotic-first", "t=0,closed_form-first", "t=0,second", "t=inf",
+        "near-max,quadrature", "near-max,closed_form", "near-max,t=0-second"])
+def test_table_raises_the_first_single_route_refusal(d, ts, routes, error, message):
+    with pytest.raises(error, match=message):
+        survival.amplitude_table(d, np.array(ts), routes)
+    assert _table_is_the_single_routes(d, np.array(ts), routes)
+
+
+def test_table_needs_a_route(d100):
+    with pytest.raises(DomainError, match="at least one route"):
+        survival.amplitude_table(d100, 1.0, ())
 
 
 def test_scalar_in_python_scalar_out(d100):
