@@ -22,13 +22,11 @@ import json
 import math
 import re
 import sys
-import warnings
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 from functools import lru_cache
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from typing import Optional
 
 import numpy as np
 
@@ -46,67 +44,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 # the most time points one run computes and writes
 MAX_POINTS = 10 ** 6
-
-
-@dataclass
-class RunConfig:
-    e_min: float = 0.0
-    e0: Optional[float] = None
-    gamma0: float = 1.0
-    hbar: float = 1.0
-    x: Optional[float] = None
-    t_start: float = 0.01
-    t_stop: float = 1000.0
-    points: int = 200
-    log_spacing: bool = True
-    beta: float = 0.0
-    catalog_path: Optional[str] = None
-    out_format: str = "csv"
-    out_path: Optional[str] = None
-    routes: tuple = (Route.CLOSED_FORM.value,)
-    fd_check: bool = False
-    # the fields the config or a flag set; redshift reads t_stop only if set
-    given: frozenset = frozenset()
-
-    def __post_init__(self):
-        if self.points < 2:
-            raise ConfigError("points must be >= 2")
-        if self.points > MAX_POINTS:
-            raise ConfigError(f"points must be <= {MAX_POINTS}")
-        if not self.t_start < self.t_stop:
-            raise ConfigError("t_start must be < t_stop")
-
-    def model(self) -> ResonanceParams:
-        e0 = self.e0
-        if e0 is None:
-            x = 100.0 if self.x is None else self.x
-            e0 = self.e_min + x * self.gamma0
-        elif self.x is not None:
-            raise ConfigError("give either e0 or x, not both")
-        try:
-            return ResonanceParams(e_min=self.e_min, e0=e0,
-                                   gamma0=self.gamma0, hbar=self.hbar)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def time_grid(self):
-        if not self.log_spacing:
-            return np.linspace(self.t_start, self.t_stop, self.points)
-        if self.t_start <= 0:
-            raise ConfigError("log spacing requires t_start > 0")
-        # np.geomspace's own arithmetic, bit for bit, without its
-        # Python-level cost
-        lo, hi = np.log10(self.t_start), np.log10(self.t_stop)
-        grid = 10.0 ** (np.arange(self.points) * ((hi - lo) / (self.points - 1)) + lo)
-        grid[0], grid[-1] = self.t_start, self.t_stop
-        return grid
-
-    def meta(self) -> dict:
-        # where the output is written is not part of what was computed
-        m = {p.field: getattr(self, p.field) for p in _PARAMS
-             if p.field != "out_path"}
-        m["version"] = __version__
-        return m
 
 
 def _finite(v, name):
@@ -153,31 +90,81 @@ def _routes(v, name):
     return tuple(v)
 
 
-# One row per run parameter: its RunConfig field and meta key, its dotted
-# config path (None: flag-only), its flags, each mapped to the type that
-# parses its text or the constant it stores, the check that turns a value
-# from either into the field's value, and its one subcommand (None: all).
-_Param = namedtuple("_Param", "field path flags check only", defaults=(None,))
+# One row per run parameter: its RunConfig field and meta key, its default,
+# its dotted config path (None: flag-only), its flags, each mapped to the
+# type that parses its text or the constant it stores, the check that turns
+# a value from either into the field's value, and its one subcommand
+# (None: all).
+_Param = namedtuple("_Param", "field default path flags check only", defaults=(None,))
 _PARAMS = (
-    _Param("e_min", "model.e_min", {"--emin": float}, _finite),
-    _Param("e0", "model.e0", {"--e0": float}, _finite),
-    _Param("gamma0", "model.gamma0", {"--gamma0": float}, _finite),
-    _Param("hbar", "model.hbar", {"--hbar": float}, _finite),
-    _Param("x", "model.x", {"--x": float}, _finite),
-    _Param("t_start", "sweep.t_start", {"--t-start": float}, _finite),
-    _Param("t_stop", "sweep.t_stop", {"--t-stop": float}, _finite),
-    _Param("points", "sweep.points", {"--points": int}, _integer),
-    _Param("log_spacing", "sweep.spacing",
+    _Param("e_min", 0.0, "model.e_min", {"--emin": float}, _finite),
+    _Param("e0", None, "model.e0", {"--e0": float}, _finite),
+    _Param("gamma0", 1.0, "model.gamma0", {"--gamma0": float}, _finite),
+    _Param("hbar", 1.0, "model.hbar", {"--hbar": float}, _finite),
+    _Param("x", None, "model.x", {"--x": float}, _finite),
+    _Param("t_start", 0.01, "sweep.t_start", {"--t-start": float}, _finite),
+    _Param("t_stop", 1000.0, "sweep.t_stop", {"--t-stop": float}, _finite),
+    _Param("points", 200, "sweep.points", {"--points": int}, _integer),
+    _Param("log_spacing", True, "sweep.spacing",
            {"--log-spacing": "log", "--linear-spacing": "linear"}, _spacing),
-    _Param("beta", None, {"--beta": float}, _finite),
-    _Param("catalog_path", "catalog_path", {"--catalog": str}, _path),
-    _Param("out_format", "outputs.format", {"--format": str}, _format),
-    _Param("out_path", "outputs.path", {"--out": str}, _path),
-    _Param("routes", "routes", {"--routes": lambda text: [
+    _Param("beta", 0.0, None, {"--beta": float}, _finite),
+    _Param("catalog_path", None, "catalog_path", {"--catalog": str}, _path),
+    _Param("out_format", "csv", "outputs.format", {"--format": str}, _format),
+    _Param("out_path", None, "outputs.path", {"--out": str}, _path),
+    _Param("routes", (Route.CLOSED_FORM.value,), "routes", {"--routes": lambda text: [
         r.strip() for r in text.split(",") if r.strip()]}, _routes, "amplitude"),
-    _Param("fd_check", None, {"--fd-check": True}, lambda v, name: v,
+    _Param("fd_check", False, None, {"--fd-check": True}, lambda v, name: v,
            "hamiltonian"),
 )
+
+
+class _RunMethods:
+    """What RunConfig does with its fields, the rows of _PARAMS."""
+
+    def __post_init__(self):
+        if self.points < 2:
+            raise ConfigError("points must be >= 2")
+        if self.points > MAX_POINTS:
+            raise ConfigError(f"points must be <= {MAX_POINTS}")
+        if not self.t_start < self.t_stop:
+            raise ConfigError("t_start must be < t_stop")
+
+    def model(self) -> ResonanceParams:
+        e0 = self.e0
+        if e0 is None:
+            x = 100.0 if self.x is None else self.x
+            e0 = self.e_min + x * self.gamma0
+        elif self.x is not None:
+            raise ConfigError("give either e0 or x, not both")
+        return ResonanceParams(e_min=self.e_min, e0=e0, gamma0=self.gamma0,
+                               hbar=self.hbar)
+
+    def time_grid(self):
+        if not self.log_spacing:
+            return np.linspace(self.t_start, self.t_stop, self.points)
+        if self.t_start <= 0:
+            raise ConfigError("log spacing requires t_start > 0")
+        # np.geomspace's own arithmetic, bit for bit, without its
+        # Python-level cost
+        lo, hi = np.log10(self.t_start), np.log10(self.t_stop)
+        grid = 10.0 ** (np.arange(self.points) * ((hi - lo) / (self.points - 1)) + lo)
+        grid[0], grid[-1] = self.t_start, self.t_stop
+        return grid
+
+    def meta(self) -> dict:
+        # where the output is written is not part of what was computed
+        m = {p.field: getattr(self, p.field) for p in _PARAMS
+             if p.field != "out_path"}
+        m["version"] = __version__
+        return m
+
+
+# one field per row of _PARAMS, with its default, and given: the fields the
+# config or a flag set (redshift reads t_stop only if set)
+RunConfig = make_dataclass(
+    "RunConfig", [(p.field, object, p.default) for p in _PARAMS]
+    + [("given", frozenset, frozenset())], bases=(_RunMethods,),
+    namespace={"__module__": __name__})
 
 
 def _lookup(doc: dict, path: str):
@@ -326,7 +313,8 @@ def cmd_hamiltonian(cfg: RunConfig) -> int:
         [s.route.value] * grid.size, s.ill_conditioned.astype(int).tolist(),
     )))
     if cfg.fd_check:
-        diff = np.abs(fd.h - s.h) / np.maximum(np.abs(s.h), 1e-300)
+        with np.errstate(over="ignore"):   # inf: a failed check
+            diff = np.abs(fd.h - s.h) / np.maximum(np.abs(s.h), 1e-300)
         failed = np.flatnonzero(~s.ill_conditioned & (diff > 1e-5))
         if failed.size:
             k = failed[0]
@@ -371,7 +359,8 @@ def _default_age(catalog) -> float:
     try:
         ages = crossover_times(*columns)
     except DomainError:
-        x = (e0 - e_min) / gamma0
+        with np.errstate(over="ignore"):   # an x = inf is named as one
+            x = (e0 - e_min) / gamma0
         k = int(np.argmin((x >= 1.0) & (x < np.inf)))
         raise ConfigError(
             f"line {catalog.ids[k]!r} has x = {x[k]:g}, but the default age "
@@ -467,10 +456,7 @@ def main(argv=None) -> int:
                     for flag, (field, parse) in _FLAGS[command].items()
                     if field != "help"))
             return EXIT_OK
-        cfg = _run_config(args)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return _COMMANDS[args["command"]](cfg)
+        return _COMMANDS[args["command"]](_run_config(args))
     except (ConfigError, CatalogError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

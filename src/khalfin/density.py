@@ -99,21 +99,12 @@ def _late_time_energy(e0, gamma0, e_min, hbar, t):
         return e_min - _relaxation_shift(_relaxation(e0, gamma0, e_min), hbar, t)
 
 
-def _norm_from_ratio(x: float) -> float:
-    """Normalization constant as a function of x = (e0 - e_min)/gamma0.
-
-    1/N is the mass the truncated Lorentzian retains:
-    1/N = 1/2 + arctan(2x)/pi.  x = 0 is allowed here (N = 2) for
-    oracle checks even though ResonanceParams rejects it.
-    """
-    if x < 0:
-        raise DomainError("x must be >= 0")
-    return 1.0 / (0.5 + math.atan(2.0 * x) / math.pi)
-
-
 def normalization_constant(params: ResonanceParams) -> float:
-    """Constant N making the truncated line integrate to one."""
-    return _norm_from_ratio(params.x)
+    """Constant N making the truncated line integrate to one.
+
+    1/N is the mass the truncated Lorentzian retains, 1/2 + arctan(2x)/pi
+    at x = (e0 - e_min)/gamma0 > 0 (N = 2 where x underflows to 0)."""
+    return 1.0 / (0.5 + math.atan(2.0 * params.x) / math.pi)
 
 
 @dataclass(frozen=True)

@@ -56,8 +56,9 @@ def _conditioning(d: NormalizedDensity, v: np.ndarray, a_abs: np.ndarray) -> np.
     through near-zeros around the crossover time, where h(t) spikes.
     Flag samples where |a| sits far below its two-term envelope in width
     units, N (e^{-v} + sqrt(A)/2v) on the row v of _phase_args, with A of
-    the crossover relation; a sample whose tail term overflows is flagged."""
-    with np.errstate(over="ignore", divide="ignore"):
+    the crossover relation; a sample whose tail term overflows is flagged,
+    one where it is 0/0 (sqrt A underflowed, v = 0) is not."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         tail = _dominance(d.params.x)[1] / (2.0 * v)
     return a_abs < 2e-2 * (d.norm_n * (np.exp(-np.minimum(v, 745.0)) + tail))
 

@@ -230,11 +230,12 @@ def _e1s_asym_terms(z: np.ndarray, n: int) -> np.ndarray:
     of e^z E1(z), stacked along a new first axis before the axes of z.
 
     Each term is the last one times -k/z, so no power of z is formed that
-    could overflow.
+    could overflow; near z = 0 a term is inf or nan, for the caller to refuse.
     """
-    terms = [1.0 / z]
-    for k in range(1, n + 1):
-        terms.append(terms[-1] * (-k / z))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        terms = [1.0 / z]
+        for k in range(1, n + 1):
+            terms.append(terms[-1] * (-k / z))
     return np.array(terms)
 
 

@@ -203,11 +203,14 @@ def relaxation_coefficient(line: SpectralLine) -> float:
 
 def crossover_times(e0, gamma0, e_min, hbar) -> np.ndarray:
     """Exact crossover time of each line (x >= 1) given as columns, from
-    one array solve."""
+    one array solve; inf where the time is past the double range."""
     e0, gamma0, e_min, hbar = (np.asarray(c, dtype=float)
                                for c in (e0, gamma0, e_min, hbar))
-    s = _large_root((e0 - e_min) / gamma0)[0]
-    return s * hbar / gamma0
+    with np.errstate(over="ignore"):   # x = inf: refused by the solve
+        x = (e0 - e_min) / gamma0
+    s = _large_root(x)[0]
+    with np.errstate(over="ignore"):
+        return s * hbar / gamma0
 
 
 def crossover_time(line: SpectralLine) -> float:

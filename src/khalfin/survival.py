@@ -250,8 +250,9 @@ def _quadrature(d: NormalizedDensity, t: np.ndarray, u, v, unit):
 
 def _asymptotic(d: NormalizedDensity, u, v, unit, order: int):
     """(a_w, est_error) of the asymptotic route on flat rows u, v."""
-    terms = (1j * d.norm_n / TWO_PI) * (_e1s_asym_terms(_complex(-v, -u), order)
-                                        - _e1s_asym_terms(_complex(v, -u), order))
+    with np.errstate(invalid="ignore"):   # inf - inf near z = 0: refused by the table
+        terms = (1j * d.norm_n / TWO_PI) * (_e1s_asym_terms(_complex(-v, -u), order)
+                                            - _e1s_asym_terms(_complex(v, -u), order))
     pole = d.norm_n * unit
     value = pole + terms[:order].sum(axis=0)
     # rounding floor, as in the quadrature route: the exponent -v - iu and
@@ -285,7 +286,8 @@ def amplitude_table(d: NormalizedDensity, t, routes, order: int = 2):
             value[:, j], est[:, j] = _quadrature(d, tt, u, v, unit)
         else:
             value[:, j], est[:, j] = _asymptotic(d, u, v, unit, order)
-        ok = np.isfinite(np.square(np.abs(value[:, j])) + est[:, j])
+        with np.errstate(over="ignore"):   # |a|^2 past the double range is refused
+            ok = np.isfinite(np.square(np.abs(value[:, j])) + est[:, j])
         if not _all(ok):
             raise RangeOverflowError(f"{route.value} route: a(t={tt[~ok][0]:g}) is "
                                      "out of the double range")

@@ -7,8 +7,10 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -841,6 +843,17 @@ def test_config_and_flag_set_a_parameter_alike(tmp_path, param):
     assert {p.field for p in cli._PARAMS if p.path and p.flags} == set(_BOTH_WAYS)
 
 
+def test_run_config_has_one_field_per_parameter_row():
+    assert vars(cli.RunConfig()) == {
+        "e_min": 0.0, "e0": None, "gamma0": 1.0, "hbar": 1.0, "x": None, "t_start": 0.01,
+        "t_stop": 1000.0, "points": 200, "log_spacing": True, "beta": 0.0,
+        "catalog_path": None, "out_format": "csv", "out_path": None,
+        "routes": ("closed_form",), "fd_check": False, "given": frozenset()}
+    assert list(vars(cli.RunConfig()))[:-1] == [p.field for p in _PARAMS]
+    with pytest.raises(TypeError):
+        cli.RunConfig(bogus=1)
+
+
 # the option strings of each subcommand before the parameter table
 _OPTIONS = ["--beta", "--catalog", "--config", "--e0", "--emin", "--format",
             "--gamma0", "--hbar", "--help", "--linear-spacing", "--log-spacing",
@@ -853,6 +866,39 @@ _OPTIONS = ["--beta", "--catalog", "--config", "--e0", "--emin", "--format",
 ])
 def test_subcommand_options_are_unchanged(command, extra):
     assert sorted(cli._FLAGS[command]) == sorted(_OPTIONS + extra)
+
+
+_CROSSOVER_USAGE = (
+    "usage: khalfin crossover [-h] [--config CONFIG] [--emin E_MIN] [--e0 E0] "
+    "[--gamma0 GAMMA0] [--hbar HBAR] [--x X] [--t-start T_START] [--t-stop T_STOP] "
+    "[--points POINTS] [--log-spacing] [--linear-spacing] [--beta BETA] "
+    "[--catalog CATALOG_PATH] [--format OUT_FORMAT] [--out OUT_PATH]\n")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], *([c, "-h"] for c in cli._COMMANDS),
+                                  ["amplitude", "--x", "1", "--he"]])
+def test_help_exits_0_and_lists_every_flag(capsys, argv):
+    command = argv[0] if argv[0] in cli._COMMANDS else None
+    status, out, err = run(capsys, *argv)
+    assert status == EXIT_OK and err == ""
+    assert out.startswith("usage: khalfin " + (command or "{amplitude,hamiltonian,"
+                                               "crossover,redshift}") + " [-h]")
+    # each flag once but --help, which -h stands for
+    assert sorted(re.findall(r"\[(-[^] ]+)", out)) == sorted(set(cli._FLAGS[command])
+                                                        - {"--help"})
+    if command == "crossover":
+        assert out == _CROSSOVER_USAGE
+
+
+def test_a_warning_reaches_the_caller_of_main(monkeypatch):
+    # main runs a command as the library runs it, with no warnings filter
+    def command(cfg):
+        warnings.warn("from the command", RuntimeWarning)
+        return EXIT_OK
+
+    monkeypatch.setitem(cli._COMMANDS, "crossover", command)
+    with pytest.warns(RuntimeWarning, match="from the command"):
+        assert main(["crossover", "--out", os.devnull]) == EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -1013,10 +1059,25 @@ _route_lists = st.permutations(["closed_form", "quadrature", "asymptotic"]).flat
 @example(head=["amplitude", "--routes", "closed_form,asymptotic"],
          flags=[("--linear-spacing",), ("--t-start", "0"), ("--t-stop", "1e308"),
                 ("--x", "1e10"), ("--points", "3")])
+# the asymptotic terms overflow near z = 0, and |a|^2 past the double range
+@example(head=["amplitude", "--routes", "asymptotic"], flags=[("--gamma0", "1e-103")])
+@example(head=["amplitude", "--routes", "asymptotic"], flags=[("--gamma0", "1e-79")])
+# u = v = 0: the first term divides by zero
+@example(head=["amplitude", "--routes", "asymptotic"],
+         flags=[("--gamma0", "8.820e-112"), ("--hbar", "1.231e-62"),
+                ("--x", "1.295e-134"), ("--t-start", "2.848e-243")])
+# the envelope's tail term is 0/0
+@example(head=["hamiltonian"], flags=[("--gamma0", "8.881e-286"), ("--x", "6.894e214"),
+                                      ("--t-start", "6.799e-129")])
+# the fd-check's relative difference overflows
+@example(head=["hamiltonian", "--fd-check"],
+         flags=[("--gamma0", "5.601e100"), ("--emin", "-3.860e71")])
 def test_sweep_fuzz_exits_0_2_or_3_with_finite_rows(tmp_path, head, flags):
     def run(head, name):
         out, err = tmp_path / name, io.StringIO()
-        with contextlib.redirect_stderr(err):
+        # a warning on the way is a defect, even where the exit is right
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
             status = main([*head, *(s for flag in flags for s in flag), "--out", str(out)])
         return status, out.read_text().splitlines() if status == EXIT_OK else None, err.getvalue()
 
@@ -1102,6 +1163,11 @@ _redshift_docs = _mostly(st.fixed_dictionaries({}, optional={
 @given(rows=_redshift_rows, with_e_min=st.booleans(),
        catalog_flag=_mostly(st.just(True), st.just(False)),
        flags=_redshift_flags, doc=_redshift_docs)
+# the default age overflows, and x past the double range
+@example(rows=[("1e-298", "1e-300", "")], with_e_min=False, catalog_flag=True,
+         flags=["--hbar=1e290"], doc={})
+@example(rows=[("1e+212", "1e-97", "")], with_e_min=False, catalog_flag=True,
+         flags=[], doc={})
 def test_redshift_fuzz_exits_0_2_or_3_with_finite_cells(tmp_path, rows, with_e_min,
                                                         catalog_flag, flags, doc):
     cat, out = tmp_path / "cat.csv", tmp_path / "out"
@@ -1113,7 +1179,8 @@ def test_redshift_fuzz_exits_0_2_or_3_with_finite_cells(tmp_path, rows, with_e_m
     (tmp_path / "run.json").write_text(text)
     argv = ["redshift", "--config", str(tmp_path / "run.json"), *flags,
             *(["--catalog", str(cat)] if catalog_flag else []), "--out", str(out)]
-    with contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("error")
         status = main(argv)
     assert status in (0, 2, 3)
     if status == EXIT_OK:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from khalfin import ResonanceParams, make_density, normalization_constant
-from khalfin.density import _norm_from_ratio
 from khalfin.errors import DomainError
 
 
@@ -32,11 +31,12 @@ def test_params_properties():
 
 def test_norm_known_values():
     # untruncated line: all mass retained
-    assert abs(_norm_from_ratio(1e12) - 1.0) <= 1e-11
-    # peak exactly at threshold: half the mass retained
-    assert _norm_from_ratio(0.0) == 2.0
+    assert abs(normalization_constant(ResonanceParams(0.0, 1e12, 1.0)) - 1.0) <= 1e-11
+    # x underflows to 0, the peak at threshold: half the mass retained
+    assert normalization_constant(ResonanceParams(0.0, 5e-324, 1e10)) == 2.0
+    # a peak below threshold is no model
     with pytest.raises(DomainError):
-        _norm_from_ratio(-0.1)
+        ResonanceParams(0.0, -0.1, 1.0)
 
 
 @pytest.mark.parametrize("x", [0.5, 1.0, 10.0, 100.0, 1e4])
@@ -74,4 +74,4 @@ def test_density_nonnegative(x, e):
 
 def test_normalization_constant_matches_ratio():
     p = ResonanceParams(e_min=2.0, e0=7.0, gamma0=2.5)
-    assert normalization_constant(p) == _norm_from_ratio(p.x)
+    assert normalization_constant(p) == 1.0 / (0.5 + math.atan(2.0 * p.x) / math.pi)

@@ -26,6 +26,8 @@ from khalfin import survival
 from khalfin.effham import _conditioning
 from khalfin.errors import (AmplitudeUnderflowError, DomainError, KhalfinError,
                             RangeOverflowError)
+from khalfin.numerics import _e1s_asym_terms
+from khalfin.redshift import crossover_times
 
 EPS = float(np.finfo(float).eps)
 
@@ -420,6 +422,51 @@ def test_fd_stencil_past_the_double_range_is_refused_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(RangeOverflowError, match="stencil"):
             effective_hamiltonian_fd(d, sys.float_info.max / 1e300 * (1 - 1e-7))
+
+
+def _outcome(call) -> str:
+    """repr of what call returns, or the name and message of its error."""
+    try:
+        return repr(call())
+    except KhalfinError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+_A_OVERFLOWS = "RangeOverflowError: asymptotic route: a(t={}) is out of the double range"
+
+
+@pytest.mark.parametrize("call, outcome", [
+    # |z| ~ 1e-200: the terms overflow; z = 0: 1/z divides by zero
+    (lambda: _e1s_asym_terms(np.array([1e-200j, 0j]), 2).tolist(),
+     "[[-1e+200j, (inf+nanj)], [(inf+0j), (nan+nanj)], [(nan+infj), (nan+nanj)]]"),
+    # those terms, their difference inf - inf, and |a|^2 past the double range
+    (lambda: amplitude_asymptotic(make_density(0.0, 1e-101, 1e-103), 0.01),
+     _A_OVERFLOWS.format(0.01)),
+    # u = v = 0: gamma0 t underflows before it is divided by hbar
+    (lambda: amplitude_asymptotic(make_density(0.0, 1.295e-134 * 8.82e-112, 8.82e-112,
+                                               1.231e-62), 2.848e-243),
+     _A_OVERFLOWS.format(2.848e-243)),
+    # |a|^2 alone
+    (lambda: amplitude_asymptotic(make_density(0.0, 1e-77, 1e-79), 0.01),
+     _A_OVERFLOWS.format(0.01)),
+    # the envelope's tail term is 0/0: sqrt A underflows and v = 0; unflagged
+    (lambda: effective_hamiltonian(make_density(0.0, 6.894e214 * 8.881e-286, 8.881e-286),
+                                   6.799e-129),
+     "HamiltonianSample(t=6.799e-129, h=(6.1225614e-71-2.22025e-286j), "
+     "energy=6.1225614e-71, rate=4.4405e-286, "
+     "route=<HamiltonianRoute.EXACT_RATIO: 'exact_ratio'>, ill_conditioned=False)"),
+    # s hbar/gamma0 past the double range; x past it, refused
+    (lambda: crossover_times([1e-298], [1e-300], [0.0], [1e290]).tolist(), "[inf]"),
+    (lambda: crossover_times([1e212], [1e-97], [0.0], [1.0]),
+     "DomainError: crossover solver requires a finite x >= 1"),
+], ids=["e1s_asym_terms", "asymptotic", "asymptotic_at_z0", "p_overflows",
+        "conditioning_0_over_0", "crossover_time_inf", "crossover_x_inf"])
+def test_an_overflow_or_refusal_comes_without_a_warning(call, outcome):
+    # each warned (a NumPy RuntimeWarning) on its way to the same inf, nan
+    # or error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(call) == outcome
 
 
 # ---------------------------------------------------------------------------
