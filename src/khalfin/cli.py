@@ -354,10 +354,9 @@ def cmd_crossover(cfg: RunConfig) -> int:
 
 def _default_age(catalog) -> float:
     """50 times the latest crossover time: comfortably past every line's."""
-    columns = catalog.resolved_columns()
-    e0, gamma0, e_min, hbar = columns
+    e0, gamma0, e_min, hbar = catalog.e0, catalog.gamma0, catalog.e_min, catalog.hbar
     try:
-        ages = crossover_times(*columns)
+        ages = crossover_times(e0, gamma0, e_min, hbar)
     except DomainError:
         with np.errstate(over="ignore"):   # an x = inf is named as one
             x = (e0 - e_min) / gamma0

@@ -129,9 +129,6 @@ class NormalizedDensity:
         )
         return lor * (e >= p.e_min)
 
-    def __call__(self, e):
-        return self.density_at(e)
-
 
 def make_density(e_min: float, e0: float, gamma0: float,
                  hbar: float = 1.0) -> NormalizedDensity:

@@ -14,7 +14,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,9 +55,8 @@ class LineCatalog:
     """Spectral lines held as columns: ids and read-only float arrays.
 
     The columns are validated once, as a whole: a catalog is non-empty,
-    every line is a valid ResonanceParams (with shared_e_min too, when it
-    is set) and the ids are unique bare CSV cells (no comma, double quote
-    or line break).  `lines` and `resolved()` build
+    every line is a valid ResonanceParams and the ids are unique bare CSV
+    cells (no comma, double quote or line break).  `lines` builds
     SpectralLine views on demand for the per-line diagnostics."""
 
     ids: tuple
@@ -65,7 +64,6 @@ class LineCatalog:
     gamma0: np.ndarray
     e_min: np.ndarray
     hbar: np.ndarray
-    shared_e_min: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(self.ids))
@@ -86,39 +84,21 @@ class LineCatalog:
         _check_lines(self.e0, self.gamma0, self.e_min, self.hbar)
         if len(set(self.ids)) != len(self.ids):
             raise CatalogError("line ids must be unique")
-        if self.shared_e_min is not None:
-            _check_lines(*self.resolved_columns())
 
     @classmethod
-    def from_lines(cls, lines: Sequence[SpectralLine],
-                   shared_e_min: Optional[float] = None) -> "LineCatalog":
+    def from_lines(cls, lines: Sequence[SpectralLine]) -> "LineCatalog":
         params = [ln.params for ln in lines]
         return cls(tuple(ln.id for ln in lines),
                    *([getattr(p, name) for p in params]
-                     for name in ("e0", "gamma0", "e_min", "hbar")),
-                   shared_e_min=shared_e_min)
-
-    def resolved_columns(self) -> tuple:
-        """(e0, gamma0, e_min, hbar) with shared_e_min (when set) as e_min."""
-        e_min = self.e_min
-        if self.shared_e_min is not None:
-            e_min = np.full_like(e_min, self.shared_e_min)
-        return self.e0, self.gamma0, e_min, self.hbar
-
-    def _views(self, e_min: np.ndarray) -> tuple:
-        return tuple(
-            SpectralLine(i, ResonanceParams(e_min=m, e0=e, gamma0=g, hbar=h))
-            for i, e, g, m, h in zip(self.ids, self.e0.tolist(), self.gamma0.tolist(),
-                                     e_min.tolist(), self.hbar.tolist()))
+                     for name in ("e0", "gamma0", "e_min", "hbar")))
 
     @property
     def lines(self) -> tuple:
-        """The stored lines, each with its own e_min."""
-        return self._views(self.e_min)
-
-    def resolved(self) -> tuple:
-        """Lines with shared_e_min (when set) overriding per-line thresholds."""
-        return self._views(self.resolved_columns()[2])
+        """The stored lines as SpectralLine views."""
+        return tuple(
+            SpectralLine(i, ResonanceParams(e_min=m, e0=e, gamma0=g, hbar=h))
+            for i, e, g, m, h in zip(self.ids, self.e0.tolist(), self.gamma0.tolist(),
+                                     self.e_min.tolist(), self.hbar.tolist()))
 
 
 @dataclass(frozen=True)
@@ -136,8 +116,8 @@ class DopplerFrame:
         return (1.0 - self.beta) / math.sqrt(1.0 - self.beta * self.beta)
 
 
-def load_catalog(path, shared_e_min: Optional[float] = None,
-                 default_e_min: float = 0.0, hbar: float = 1.0) -> LineCatalog:
+def load_catalog(path, default_e_min: float = 0.0,
+                 hbar: float = 1.0) -> LineCatalog:
     """Read a catalog CSV with header id,e0,gamma0[,e_min]."""
     ids, e0, gamma0, e_min = [], [], [], []
     with open(path, newline="") as fh:
@@ -157,29 +137,32 @@ def load_catalog(path, shared_e_min: Optional[float] = None,
                 row += [None] * (width - len(row))
             cell = "" if i_emin is None else row[i_emin]
             try:
+                if row[i_id] is None:
+                    raise TypeError("missing id cell")
                 m = float(cell) if cell not in (None, "") else default_e_min
                 e, g = float(row[i_e0]), float(row[i_gamma0])
             except (TypeError, ValueError) as exc:
                 # a domain error on an earlier line is reported first
                 _check_lines(e0, gamma0, e_min, [hbar] * len(e0))
+                where = f"catalog line {reader.line_num}"
                 raise CatalogError(
-                    f"catalog line {reader.line_num} (id {row[i_id]!r}): "
-                    "missing or non-numeric e0, gamma0 or e_min"
-                ) from exc
+                    f"{where}: missing id cell" if row[i_id] is None else
+                    f"{where} (id {row[i_id]!r}): missing or non-numeric e0, "
+                    "gamma0 or e_min") from exc
             ids.append(row[i_id])
             e0.append(e)
             gamma0.append(g)
             e_min.append(m)
-    return LineCatalog(ids, e0, gamma0, e_min, [hbar] * len(ids),
-                       shared_e_min=shared_e_min)
+    return LineCatalog(ids, e0, gamma0, e_min, [hbar] * len(ids))
 
 
-def _require_common_e_min(*lines: SpectralLine) -> float:
-    e0 = lines[0].params.e_min
+def _require_common_e_min_and_hbar(*lines: SpectralLine) -> None:
+    e_min, hbar = lines[0].params.e_min, lines[0].params.hbar
     for ln in lines[1:]:
-        if abs(ln.params.e_min - e0) > _EMIN_RTOL * max(1.0, abs(e0)):
+        if abs(ln.params.e_min - e_min) > _EMIN_RTOL * max(1.0, abs(e_min)):
             raise CatalogError("ratio diagnostics require a common e_min")
-    return e0
+        if ln.params.hbar != hbar:
+            raise CatalogError("ratio diagnostics require a common hbar")
 
 
 def _late_time_energies(ids, e0, gamma0, e_min, hbar, t) -> np.ndarray:
@@ -235,11 +218,11 @@ def asymptotic_energy(line: SpectralLine, t: float) -> float:
 
 def energy_difference_asymptotic(l1: SpectralLine, l2: SpectralLine,
                                  t: float) -> float:
-    """Late-time energy difference of two lines sharing one threshold;
-    shrinks exactly as 1/t^2."""
+    """Late-time energy difference of two lines sharing one threshold and
+    one hbar; shrinks exactly as 1/t^2."""
     if not t > 0:
         raise DomainError("t must be > 0")
-    _require_common_e_min(l1, l2)
+    _require_common_e_min_and_hbar(l1, l2)
     g1 = relaxation_coefficient(l1)
     g2 = relaxation_coefficient(l2)
     return -_relaxation_shift(g1 - g2, l1.params.hbar, t)
@@ -250,7 +233,7 @@ def ratio_diagnostic(l1: SpectralLine, l2: SpectralLine,
     """Time-independent double ratio of late-time energy differences:
     (g1 - g2) / (g3 - g4).  Generically differs from the emitted-line
     double ratio (e1_0 - e2_0)/(e3_0 - e4_0)."""
-    _require_common_e_min(l1, l2, l3, l4)
+    _require_common_e_min_and_hbar(l1, l2, l3, l4)
     g3 = relaxation_coefficient(l3)
     g4 = relaxation_coefficient(l4)
     if g3 == g4:
@@ -293,8 +276,9 @@ def observed_line_table(catalog: LineCatalog, frame: DopplerFrame,
     if not t > 0:
         raise DomainError("t must be > 0")
     k = frame.kappa
-    e0, gamma0, e_min, hbar = catalog.resolved_columns()
-    e_inf = _late_time_energies(catalog.ids, e0, gamma0, e_min, hbar, t)
+    e0 = catalog.e0
+    e_inf = _late_time_energies(catalog.ids, e0, catalog.gamma0, catalog.e_min,
+                                catalog.hbar, t)
     e_inf_obs = k * e_inf
     check = np.abs(np.diff(e_inf_obs)) < k * np.abs(np.diff(e0))
     return {

@@ -1,8 +1,21 @@
 import pathlib
+import warnings
 
 import pytest
 
 from khalfin import make_density, solve_crossover
+
+# Hypothesis imports this module while it reports a failing property; where
+# libcst is installed, that import raises a third-party DeprecationWarning,
+# which under -W error::DeprecationWarning ends the session with an
+# INTERNALERROR instead of the failure.  Importing it once here, with that
+# warning ignored for this import only, keeps the failure reportable.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = pathlib.Path(__file__).parent / "golden"

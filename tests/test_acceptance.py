@@ -229,7 +229,7 @@ def test_criterion_07b_slope_in_log_x():
 
 def test_criterion_08_ratio_diagnostics(demo_catalog_path):
     cat = load_catalog(demo_catalog_path)
-    l1, l2, l3, l4 = cat.resolved()
+    l1, l2, l3, l4 = cat.lines
     r = ratio_diagnostic(l1, l2, l3, l4)
     t = 1e5
     r_t = energy_difference_asymptotic(l1, l2, t) / \
@@ -245,7 +245,7 @@ def test_criterion_08_ratio_diagnostics(demo_catalog_path):
             l3.params.e0, l4.params.e0)
         doppler_dev = max(doppler_dev, abs(shifted - rest) / abs(rest))
 
-    t_min = 10.0 * max(crossover_time(ln) for ln in cat.resolved())
+    t_min = 10.0 * max(crossover_time(ln) for ln in cat.lines)
     ineq = True
     for beta in (0.1, 0.5, 0.9):
         k = DopplerFrame(beta=beta).kappa

@@ -756,10 +756,13 @@ _BAD_CELL = "missing or non-numeric e0, gamma0 or e_min"
     ('id,e0,gamma0\n"A,1",2.0,0.1\nB,3.0,0.2\n', ("--t-stop", "100"), 2,
      "error: line id 'A,1' must not contain a comma, a double quote or a "
      "line break\n", None),
+    ("e0,gamma0,id\n2.0,0.1\n", (), 2,
+     "error: catalog line 2: missing id cell\n", None),
 ], ids=["blank_lines", "short_row", "long_row", "quoted_cells",
         "repeated_column", "empty_e_min", "domain_before_parse",
         "parse_before_duplicate", "domain_after_duplicate", "duplicate",
-        "empty_with_hbar_0", "hbar_0", "missing_column", "comma_in_id"])
+        "empty_with_hbar_0", "hbar_0", "missing_column", "comma_in_id",
+        "missing_id"])
 def test_catalog_errors_exit_code_and_stderr(capsys, tmp_path, text, flags,
                                              status, err, clean):
     cat = tmp_path / "cat.csv"

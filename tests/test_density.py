@@ -51,7 +51,7 @@ def test_density_integrates_to_one(x):
 def test_density_zero_below_threshold_scalar_and_array():
     d = make_density(1.0, 3.0, 0.5)
     assert d.density_at(0.999) == 0.0
-    assert d(0.0) == 0.0
+    assert d.density_at(0.0) == 0.0
     e = np.array([0.0, 0.5, 1.0, 3.0, 10.0])
     v = d.density_at(e)
     assert v.shape == e.shape

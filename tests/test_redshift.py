@@ -45,13 +45,6 @@ def test_load_catalog(demo_catalog_path):
     assert all(ln.params.e_min == 0.0 for ln in cat.lines)
 
 
-def test_catalog_shared_e_min_override(demo_catalog_path):
-    cat = load_catalog(demo_catalog_path, shared_e_min=0.5)
-    assert all(ln.params.e_min == 0.5 for ln in cat.resolved())
-    # the stored lines are untouched
-    assert all(ln.params.e_min == 0.0 for ln in cat.lines)
-
-
 def test_catalog_errors(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("id,e0\nline1,1.0\n")
@@ -83,6 +76,10 @@ def test_catalog_blank_short_and_long_rows(tmp_path):
         [("A", 2.0, 0.25), ("B", 3.0, 0.5)]
     cat.write_text("id,e0,gamma0\n\nA,2.0,0.1\n\nB,3.0\n")
     with pytest.raises(CatalogError, match=r"catalog line 5 \(id 'B'\)"):
+        load_catalog(cat)
+    # with the id column last, a short row may lack its id
+    cat.write_text("e0,gamma0,id\n3.0,0.2,A\n\n2.0,0.1\n")
+    with pytest.raises(CatalogError, match=r"^catalog line 4: missing id cell$"):
         load_catalog(cat)
 
 
@@ -222,6 +219,20 @@ def test_energy_difference_requires_common_threshold():
         energy_difference_asymptotic(l1, l2, 100.0)
 
 
+def test_ratio_diagnostics_require_common_hbar():
+    # the 1/t^2 shifts of lines with different hbar are in different units:
+    # one hbar scaled g1 - g2, so the difference was off and not even
+    # antisymmetric (-3.33e-9 and +1.33e-8 against -+1.67e-8 at t = 1e4)
+    l1 = SpectralLine("a", ResonanceParams(e_min=0.0, e0=2.0, gamma0=0.1, hbar=1.0))
+    l2 = SpectralLine("b", ResonanceParams(e_min=0.0, e0=3.0, gamma0=0.1, hbar=2.0))
+    message = "ratio diagnostics require a common hbar"
+    for a, b in ((l1, l2), (l2, l1)):
+        with pytest.raises(CatalogError, match=message):
+            energy_difference_asymptotic(a, b, 1e4)
+        with pytest.raises(CatalogError, match=message):
+            ratio_diagnostic(a, b, l1, _line("c", 4.0, 0.1))
+
+
 @pytest.mark.parametrize("call", [
     lambda t, cat: asymptotic_energy(cat.lines[0], t),
     lambda t, cat: energy_difference_asymptotic(cat.lines[0], cat.lines[1], t),
@@ -286,7 +297,7 @@ def test_doppler_double_ratio_invariance(beta, e1, e2, e3):
 def test_observed_line_table(demo_catalog_path, t_as_100):
     cat = load_catalog(demo_catalog_path)
     frame = DopplerFrame(beta=0.1)
-    t = 50.0 * max(crossover_time(ln) for ln in cat.resolved())
+    t = 50.0 * max(crossover_time(ln) for ln in cat.lines)
     table = observed_line_table(cat, frame, t)
     assert table["id"] == ["line1", "line2", "line3", "line4"]
     assert table["delta_pair_check"][0] == ""
@@ -328,26 +339,23 @@ def test_crossover_times_are_the_large_roots():
                              st.floats(-1.0, 0.0), st.floats(-1.0, 1.0)),
                    min_size=1, max_size=8),
     base=st.floats(-10.0, 10.0),
-    shared=st.booleans(),
     log_age=st.one_of(st.none(), st.floats(-3.0, 9.0)),
     beta=st.floats(0.0, 0.9),
 )
-def test_observed_line_table_matches_scalar_functions(lines, base, shared,
-                                                      log_age, beta):
+def test_observed_line_table_matches_scalar_functions(lines, base, log_age,
+                                                      beta):
     # every column of the array table is bit for bit what the per-line
-    # scalar functions give, with per-line or shared e_min
+    # scalar functions give, with per-line e_min and hbar
     gamma0 = [10.0 ** lg for _, lg, _, _ in lines]
     e0 = [base + 10.0 ** lx * g for (lx, _, _, _), g in zip(lines, gamma0)]
     cat = LineCatalog([f"L{n}" for n in range(len(lines))], e0, gamma0,
                       [base + dm for _, _, dm, _ in lines],
-                      [10.0 ** lh for _, _, _, lh in lines],
-                      shared_e_min=base if shared else None)
-    columns = cat.resolved_columns()
-    e0c, gc, mc, _ = columns
-    assume(np.all((e0c - mc) / gc >= 1.0))  # the crossover needs x >= 1
-    resolved = cat.resolved()
-    times = crossover_times(*columns)
-    assert _bits(times) == _bits(crossover_time(ln) for ln in resolved)
+                      [10.0 ** lh for _, _, _, lh in lines])
+    # the crossover needs x >= 1
+    assume(np.all((cat.e0 - cat.e_min) / cat.gamma0 >= 1.0))
+    views = cat.lines
+    times = crossover_times(cat.e0, cat.gamma0, cat.e_min, cat.hbar)
+    assert _bits(times) == _bits(crossover_time(ln) for ln in views)
 
     frame = DopplerFrame(beta=beta)
     t = 50.0 * float(times.max()) if log_age is None else 10.0 ** log_age
@@ -356,12 +364,12 @@ def test_observed_line_table_matches_scalar_functions(lines, base, shared,
         # to inf (g = 0) past x ~ 1e154, on both paths
         warnings.simplefilter("ignore")
         table = observed_line_table(cat, frame, t)
-        e_inf = [asymptotic_energy(ln, t) for ln in resolved]
-    assert table["id"] == [ln.id for ln in resolved]
-    assert _bits(table["e0"]) == _bits(ln.params.e0 for ln in resolved)
+        e_inf = [asymptotic_energy(ln, t) for ln in views]
+    assert table["id"] == [ln.id for ln in views]
+    assert _bits(table["e0"]) == _bits(ln.params.e0 for ln in views)
     assert _bits(table["e_inf"]) == _bits(e_inf)
     assert _bits(table["e0_obs"]) == _bits(doppler_shift(frame, ln.params.e0)
-                                           for ln in resolved)
+                                           for ln in views)
     assert _bits(table["e_inf_obs"]) == _bits(doppler_shift(frame, e)
                                               for e in e_inf)
     obs, rest = table["e_inf_obs"], table["e0"]
@@ -371,18 +379,11 @@ def test_observed_line_table_matches_scalar_functions(lines, base, shared,
 
 
 def test_catalog_from_lines_round_trip(demo_catalog_path):
-    cat = load_catalog(demo_catalog_path, shared_e_min=0.5)
-    again = LineCatalog.from_lines(cat.lines, shared_e_min=0.5)
+    cat = load_catalog(demo_catalog_path, default_e_min=0.5)
+    again = LineCatalog.from_lines(cat.lines)
     assert again.ids == cat.ids
-    for a, b in zip(again.resolved_columns(), cat.resolved_columns()):
-        assert a.tolist() == b.tolist()
+    for name in ("e0", "gamma0", "e_min", "hbar"):
+        assert getattr(again, name).tolist() == getattr(cat, name).tolist()
     # the columns are validated once and then read-only
     with pytest.raises(ValueError):
         cat.e0[0] = 0.0
-
-
-def test_catalog_validates_shared_e_min(demo_catalog_path):
-    # the first line at or below the shared threshold is rejected with
-    # ResonanceParams' own message
-    with pytest.raises(DomainError, match="e0 must exceed e_min"):
-        load_catalog(demo_catalog_path, shared_e_min=2.0)
