@@ -34,7 +34,6 @@ from .redshift import (
     SpectralLine,
     asymptotic_energy,
     doppler_ratio_invariance_check,
-    doppler_shift,
     energy_difference_asymptotic,
     load_catalog,
     observed_line_table,
@@ -46,7 +45,6 @@ from .survival import (
     amplitude_asymptotic,
     amplitude_closed_form,
     amplitude_quadrature,
-    decay_law,
     delta_amplitude,
     power_tail_coefficient,
 )

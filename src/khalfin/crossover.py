@@ -46,20 +46,6 @@ def _dominance(x):
     return 2.0 * (np.log(g_w) - np.log(x) - math.log(_TWO_PI)), g_w / x / _TWO_PI
 
 
-def dominance_coefficient(d: NormalizedDensity) -> float:
-    """The constant A of the crossover relation (subnormal, then 0, where
-    it underflows)."""
-    root_a = _dominance(d.params.x)[1]
-    return root_a * root_a
-
-
-def crossover_equation_sides(d: NormalizedDensity, s: float):
-    """(lhs, rhs) = (e^{-s}, A/s^2) of the crossover relation."""
-    if s <= 0:
-        raise DomainError("s must be > 0")
-    return math.exp(-s), dominance_coefficient(d) / (s * s)
-
-
 def crossover_roots(x):
     """Both real roots (s_small, s_large) of 2 ln s - s - ln A = 0 for an
     array of finite x >= 1, as arrays of its shape, each by numerics.newton.
@@ -112,10 +98,6 @@ class CrossoverResult:
     residual: float
     a_coefficient: float
 
-    def t_exact_large(self, d: NormalizedDensity) -> float:
-        p = d.params
-        return self.s_exact_large * p.hbar / p.gamma0
-
 
 def _paper_approx(x: float) -> float:
     inner = APPROX_CONSTANT + 4.0 * math.log(x)
@@ -143,7 +125,7 @@ def solve_crossover(d: NormalizedDensity) -> CrossoverResult:
         s_exact_small=float(small[0]),
         s_exact_large=s_large,
         s_paper_approx=_paper_approx(d.params.x),
-        # crossover_equation_sides, with A formed once
+        # |e^{-s} - A/s^2| at the large root, A formed once
         residual=abs(math.exp(-s_large) - a / (s_large * s_large)),
         a_coefficient=a,
     )

@@ -40,11 +40,6 @@ class ResonanceParams:
             raise DomainError("e0 must exceed e_min (asymptotics divide by e0 - e_min)")
 
     @property
-    def lifetime(self) -> float:
-        """Exponential-era time constant hbar/gamma0."""
-        return self.hbar / self.gamma0
-
-    @property
     def x(self) -> float:
         """Peak offset in units of the width, (e0 - e_min)/gamma0."""
         return (self.e0 - self.e_min) / self.gamma0
@@ -132,7 +127,7 @@ class NormalizedDensity:
 
 def make_density(e_min: float, e0: float, gamma0: float,
                  hbar: float = 1.0) -> NormalizedDensity:
-    """Convenience constructor used throughout the tests and the CLI."""
+    """The NormalizedDensity of these parameters, for scripts and tests."""
     return NormalizedDensity.from_params(
         ResonanceParams(e_min=e_min, e0=e0, gamma0=gamma0, hbar=hbar)
     )

@@ -12,14 +12,14 @@ class DomainError(KhalfinError, ValueError):
 class RangeOverflowError(KhalfinError, OverflowError):
     """Result magnitude exceeds the representable floating-point range.
 
-    Raised by the plain exponential-integral when e^{-z} overflows; callers
-    should switch to the scaled form.
+    Raised by every route whose arguments or result leave the double range,
+    and by the plain E1 where e^{-z} overflows (the scaled E1 does not).
     """
 
 
 class ConvergenceError(KhalfinError, RuntimeError):
-    """An iterative scheme (quadrature, continued fraction, Newton root)
-    exhausted its budget without reaching the requested tolerance."""
+    """A Newton iteration (Lambert W, crossover roots) or the Gauss-Kronrod
+    rule did not reach its tolerance, or met a non-finite value."""
 
 
 class AmplitudeUnderflowError(KhalfinError, ArithmeticError):

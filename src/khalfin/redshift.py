@@ -14,7 +14,6 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -85,13 +84,6 @@ class LineCatalog:
         if len(set(self.ids)) != len(self.ids):
             raise CatalogError("line ids must be unique")
 
-    @classmethod
-    def from_lines(cls, lines: Sequence[SpectralLine]) -> "LineCatalog":
-        params = [ln.params for ln in lines]
-        return cls(tuple(ln.id for ln in lines),
-                   *([getattr(p, name) for p in params]
-                     for name in ("e0", "gamma0", "e_min", "hbar")))
-
     @property
     def lines(self) -> tuple:
         """The stored lines as SpectralLine views."""
@@ -137,7 +129,7 @@ def load_catalog(path, default_e_min: float = 0.0,
                 row += [None] * (width - len(row))
             cell = "" if i_emin is None else row[i_emin]
             try:
-                if row[i_id] is None:
+                if not row[i_id]:
                     raise TypeError("missing id cell")
                 m = float(cell) if cell not in (None, "") else default_e_min
                 e, g = float(row[i_e0]), float(row[i_gamma0])
@@ -146,7 +138,7 @@ def load_catalog(path, default_e_min: float = 0.0,
                 _check_lines(e0, gamma0, e_min, [hbar] * len(e0))
                 where = f"catalog line {reader.line_num}"
                 raise CatalogError(
-                    f"{where}: missing id cell" if row[i_id] is None else
+                    f"{where}: missing id cell" if not row[i_id] else
                     f"{where} (id {row[i_id]!r}): missing or non-numeric e0, "
                     "gamma0 or e_min") from exc
             ids.append(row[i_id])
@@ -156,13 +148,20 @@ def load_catalog(path, default_e_min: float = 0.0,
     return LineCatalog(ids, e0, gamma0, e_min, [hbar] * len(ids))
 
 
+def _same_threshold(e_min, hbar, ref_e_min, ref_hbar):
+    """Columns (e_min within _EMIN_RTOL of max(1, |ref_e_min|), hbar equal)."""
+    return (np.abs(e_min - ref_e_min) <= _EMIN_RTOL * np.maximum(1.0, np.abs(ref_e_min)),
+            hbar == ref_hbar)
+
+
 def _require_common_e_min_and_hbar(*lines: SpectralLine) -> None:
-    e_min, hbar = lines[0].params.e_min, lines[0].params.hbar
-    for ln in lines[1:]:
-        if abs(ln.params.e_min - e_min) > _EMIN_RTOL * max(1.0, abs(e_min)):
-            raise CatalogError("ratio diagnostics require a common e_min")
-        if ln.params.hbar != hbar:
-            raise CatalogError("ratio diagnostics require a common hbar")
+    e_min, hbar = np.array([(ln.params.e_min, ln.params.hbar) for ln in lines]).T
+    same_e, same_h = _same_threshold(e_min, hbar, e_min[0], hbar[0])
+    k = int(np.argmin(same_e & same_h))  # the first line that differs, if any
+    if not same_e[k]:
+        raise CatalogError("ratio diagnostics require a common e_min")
+    if not same_h[k]:
+        raise CatalogError("ratio diagnostics require a common hbar")
 
 
 def _late_time_energies(ids, e0, gamma0, e_min, hbar, t) -> np.ndarray:
@@ -243,11 +242,6 @@ def ratio_diagnostic(l1: SpectralLine, l2: SpectralLine,
     return (g1 - g2) / (g3 - g4)
 
 
-def doppler_shift(frame: DopplerFrame, e: float) -> float:
-    """Observed energy kappa * e of a receding source."""
-    return frame.kappa * e
-
-
 def doppler_ratio_invariance_check(frame: DopplerFrame, e1: float, e2: float,
                                    e3: float, e4: float):
     """(shifted double ratio, rest double ratio); the Doppler factor
@@ -268,10 +262,11 @@ def observed_line_table(catalog: LineCatalog, frame: DopplerFrame,
     Columns: id, e0, e_inf, e0_obs, e_inf_obs, delta_pair_check.  The
     pair-check column records, for each row after the first, whether the
     observed late-time line separation from the previous row is smaller
-    than kappa times the emitted separation (1 pass / 0 fail, empty for
-    the first row).  e_inf is asymptotic_energy without its crossover
-    check; RangeOverflowError names the first line whose e_inf leaves the
-    double range.
+    than kappa times the emitted separation (1 pass / 0 fail); it is empty
+    for the first row and where e_min or hbar differs from the previous
+    row's, a pair energy_difference_asymptotic refuses.  e_inf is
+    asymptotic_energy without its crossover check; RangeOverflowError
+    names the first line whose e_inf leaves the double range.
     """
     if not t > 0:
         raise DomainError("t must be > 0")
@@ -281,11 +276,16 @@ def observed_line_table(catalog: LineCatalog, frame: DopplerFrame,
                                 catalog.hbar, t)
     e_inf_obs = k * e_inf
     check = np.abs(np.diff(e_inf_obs)) < k * np.abs(np.diff(e0))
+    cells = check.astype(int).tolist()
+    same_e, same_h = _same_threshold(catalog.e_min[1:], catalog.hbar[1:],
+                                     catalog.e_min[:-1], catalog.hbar[:-1])
+    for n in np.flatnonzero(~(same_e & same_h)).tolist():
+        cells[n] = ""
     return {
         "id": list(catalog.ids),
         "e0": e0.tolist(),
         "e_inf": e_inf.tolist(),
         "e0_obs": (k * e0).tolist(),
         "e_inf_obs": e_inf_obs.tolist(),
-        "delta_pair_check": ["", *check.astype(int).tolist()],
+        "delta_pair_check": ["", *cells],
     }

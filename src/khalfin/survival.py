@@ -357,11 +357,6 @@ def delta_amplitude(d: NormalizedDensity, t):
     return _unflat(d.params.gamma0 * np.exp(-1j * theta) * delta, shape)
 
 
-def decay_law(d: NormalizedDensity, t):
-    """Survival probability P(t) = |a(t)|^2 via the closed form."""
-    return amplitude_closed_form(d, t).p
-
-
 def power_tail_coefficient(d: NormalizedDensity) -> float:
     """Magnitude of the leading 1/t coefficient of |a(t)| at long times:
     (N / 2 pi) gamma0 hbar / |pole - e_min|^2 = N hbar (g/x) / 2 pi.

@@ -758,11 +758,13 @@ _BAD_CELL = "missing or non-numeric e0, gamma0 or e_min"
      "line break\n", None),
     ("e0,gamma0,id\n2.0,0.1\n", (), 2,
      "error: catalog line 2: missing id cell\n", None),
+    ("id,e0,gamma0\n,2.0,0.1\nB,3.0,0.2\n", (), 2,
+     "error: catalog line 2: missing id cell\n", None),
 ], ids=["blank_lines", "short_row", "long_row", "quoted_cells",
         "repeated_column", "empty_e_min", "domain_before_parse",
         "parse_before_duplicate", "domain_after_duplicate", "duplicate",
         "empty_with_hbar_0", "hbar_0", "missing_column", "comma_in_id",
-        "missing_id"])
+        "missing_id", "empty_id"])
 def test_catalog_errors_exit_code_and_stderr(capsys, tmp_path, text, flags,
                                              status, err, clean):
     cat = tmp_path / "cat.csv"
@@ -792,6 +794,16 @@ def test_redshift_builds_no_per_line_objects(capsys, tmp_path, monkeypatch):
     # the counters do see a line that is built
     SpectralLine("A", ResonanceParams(e_min=0.0, e0=2.0, gamma0=0.1))
     assert len(built) == 2
+
+
+def test_redshift_no_pair_check_across_thresholds(capsys, tmp_path):
+    # B's e_min differs from A's: energy_difference_asymptotic refuses the
+    # pair, so its pair-check cell is empty, not a 0
+    cat = tmp_path / "cat.csv"
+    cat.write_text("id,e0,gamma0,e_min\nA,2.0,0.01,0.0\nB,2.5,0.01,1.0\n")
+    status, out, err = run(capsys, "redshift", "--catalog", str(cat))
+    assert status == EXIT_OK and err == ""
+    assert [row.rsplit(",", 1)[1] for row in out.splitlines()[1:]] == ["", ""]
 
 
 # two values of each parameter that has both a config path and a flag, as

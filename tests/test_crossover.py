@@ -7,12 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from khalfin import make_density, paper_approx_crossover, solve_crossover
-from khalfin.crossover import (
-    _dominance,
-    crossover_equation_sides,
-    crossover_roots,
-    dominance_coefficient,
-)
+from khalfin.crossover import _dominance, crossover_roots
 from khalfin.errors import DomainError
 from khalfin.numerics import lambert_w
 
@@ -34,7 +29,7 @@ def _rel(got: float, want) -> float:
 
 
 def test_dominance_coefficient(d100):
-    a = dominance_coefficient(d100)
+    a = solve_crossover(d100).a_coefficient
     assert abs(a - 1.0 / (4.0 * math.pi ** 2 * (100.0 ** 2 + 0.25) ** 2)) \
         <= 1e-25
 
@@ -42,8 +37,9 @@ def test_dominance_coefficient(d100):
 def test_exact_root_x100(d100):
     res = solve_crossover(d100)
     assert abs(res.s_exact_large - 28.81852144874001) <= 1e-10
-    assert res.residual <= 1e-12 * dominance_coefficient(d100)
-    lhs, rhs = crossover_equation_sides(d100, res.s_exact_large)
+    s = res.s_exact_large
+    assert res.residual <= 1e-12 * res.a_coefficient
+    lhs, rhs = math.exp(-s), res.a_coefficient / s**2
     assert abs(lhs - rhs) <= 1e-12 * max(lhs, rhs)
 
 
@@ -51,7 +47,8 @@ def test_small_root_below_large_root(d100):
     res = solve_crossover(d100)
     assert res.s_exact_small is not None
     assert 0.0 < res.s_exact_small < res.s_exact_large
-    lhs, rhs = crossover_equation_sides(d100, res.s_exact_small)
+    s = res.s_exact_small
+    lhs, rhs = math.exp(-s), res.a_coefficient / s**2
     assert abs(lhs - rhs) <= 1e-10 * max(lhs, rhs)
 
 
@@ -73,12 +70,6 @@ def test_root_grows_with_x():
     roots = [solve_crossover(make_density(0.0, x, 1.0)).s_exact_large
              for x in (1.0, 10.0, 100.0, 1e4, 1e6)]
     assert all(a < b for a, b in zip(roots, roots[1:]))
-
-
-def test_t_exact_large_scaling():
-    d = make_density(0.0, 200.0, 2.0, hbar=0.5)
-    res = solve_crossover(d)
-    assert abs(res.t_exact_large(d) - res.s_exact_large * 0.5 / 2.0) <= 1e-12
 
 
 def test_requires_x_at_least_one():
@@ -138,8 +129,3 @@ def test_roots_are_lambert_w_values(log10_xs):
     eps = np.finfo(float).eps
     assert np.all(np.abs(-2.0 * lambert_w(-1, y) / large - 1) <= 4 * eps)
     assert np.all(np.abs(-2.0 * lambert_w(0, y) / small - 1) <= 1e-13)
-
-
-def test_equation_sides_domain(d100):
-    with pytest.raises(DomainError):
-        crossover_equation_sides(d100, 0.0)

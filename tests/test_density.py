@@ -23,7 +23,6 @@ def test_params_validation():
 
 def test_params_properties():
     p = ResonanceParams(e_min=1.0, e0=5.0, gamma0=2.0, hbar=0.5)
-    assert p.lifetime == 0.25
     assert p.x == 2.0
     assert p.pole == complex(5.0, -1.0)
     assert p.pole_offset_sq == 16.0 + 1.0

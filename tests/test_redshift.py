@@ -15,7 +15,6 @@ from khalfin import (
     SpectralLine,
     asymptotic_energy,
     doppler_ratio_invariance_check,
-    doppler_shift,
     energy_difference_asymptotic,
     load_catalog,
     observed_line_table,
@@ -55,7 +54,7 @@ def test_catalog_errors(tmp_path):
     with pytest.raises(CatalogError):
         load_catalog(dup)
     with pytest.raises(CatalogError):
-        LineCatalog.from_lines(())
+        LineCatalog((), [], [], [], [])
     with pytest.raises(CatalogError, match="one value per id"):
         LineCatalog(["a"], [2.0, 3.0], [0.1], [0.0], [1.0])
     # an id must print as one bare CSV cell
@@ -80,6 +79,10 @@ def test_catalog_blank_short_and_long_rows(tmp_path):
     # with the id column last, a short row may lack its id
     cat.write_text("e0,gamma0,id\n3.0,0.2,A\n\n2.0,0.1\n")
     with pytest.raises(CatalogError, match=r"^catalog line 4: missing id cell$"):
+        load_catalog(cat)
+    # an empty id cell is refused like a missing one
+    cat.write_text("id,e0,gamma0\n,2.0,0.1\nB,3.0,0.2\n")
+    with pytest.raises(CatalogError, match=r"^catalog line 2: missing id cell$"):
         load_catalog(cat)
 
 
@@ -273,7 +276,6 @@ def test_doppler_frame():
         DopplerFrame(beta=1.0)
     f = DopplerFrame(beta=0.5)
     assert abs(f.kappa - 0.5 / math.sqrt(0.75)) <= 1e-15
-    assert abs(doppler_shift(f, 2.0) - 2.0 * f.kappa) <= 1e-15
     # receding source: redshift, kappa < 1
     assert f.kappa < 1.0
     assert DopplerFrame(beta=0.0).kappa == 1.0
@@ -315,7 +317,7 @@ def test_observed_line_table_squares_like_python_floats():
     # (1/t) * (1/t) differ in the last bit, and so does e_inf
     line = _line("a", 2.0, 0.1)
     t = 2947.0
-    table = observed_line_table(LineCatalog.from_lines([line]),
+    table = observed_line_table(_one_line(2.0, 0.1, 0.0, 1.0),
                                 DopplerFrame(beta=0.0), t)
     assert table["e_inf"] == [-2.0 * relaxation_coefficient(line) * (1.0 / t) ** 2]
 
@@ -341,16 +343,19 @@ def test_crossover_times_are_the_large_roots():
     base=st.floats(-10.0, 10.0),
     log_age=st.one_of(st.none(), st.floats(-3.0, 9.0)),
     beta=st.floats(0.0, 0.9),
+    shared=st.booleans(),
 )
 def test_observed_line_table_matches_scalar_functions(lines, base, log_age,
-                                                      beta):
+                                                      beta, shared):
     # every column of the array table is bit for bit what the per-line
-    # scalar functions give, with per-line e_min and hbar
+    # scalar functions give, with per-line e_min and hbar, or with the
+    # first line's for all
     gamma0 = [10.0 ** lg for _, lg, _, _ in lines]
     e0 = [base + 10.0 ** lx * g for (lx, _, _, _), g in zip(lines, gamma0)]
+    own = [lines[0]] * len(lines) if shared else lines
     cat = LineCatalog([f"L{n}" for n in range(len(lines))], e0, gamma0,
-                      [base + dm for _, _, dm, _ in lines],
-                      [10.0 ** lh for _, _, _, lh in lines])
+                      [base + dm for _, _, dm, _ in own],
+                      [10.0 ** lh for _, _, _, lh in own])
     # the crossover needs x >= 1
     assume(np.all((cat.e0 - cat.e_min) / cat.gamma0 >= 1.0))
     views = cat.lines
@@ -365,25 +370,35 @@ def test_observed_line_table_matches_scalar_functions(lines, base, log_age,
         warnings.simplefilter("ignore")
         table = observed_line_table(cat, frame, t)
         e_inf = [asymptotic_energy(ln, t) for ln in views]
+        refused = []
+        for a, b in zip(views, views[1:]):
+            try:
+                energy_difference_asymptotic(a, b, t)
+            except CatalogError:
+                refused.append(True)
+            else:
+                refused.append(False)
     assert table["id"] == [ln.id for ln in views]
     assert _bits(table["e0"]) == _bits(ln.params.e0 for ln in views)
     assert _bits(table["e_inf"]) == _bits(e_inf)
-    assert _bits(table["e0_obs"]) == _bits(doppler_shift(frame, ln.params.e0)
+    assert _bits(table["e0_obs"]) == _bits(frame.kappa * ln.params.e0
                                            for ln in views)
-    assert _bits(table["e_inf_obs"]) == _bits(doppler_shift(frame, e)
-                                              for e in e_inf)
+    assert _bits(table["e_inf_obs"]) == _bits(frame.kappa * e for e in e_inf)
+    # no pair check where energy_difference_asymptotic refuses the pair
     obs, rest = table["e_inf_obs"], table["e0"]
     assert table["delta_pair_check"] == ["", *(
+        "" if refused[n - 1] else
         int(abs(obs[n] - obs[n - 1]) < frame.kappa * abs(rest[n] - rest[n - 1]))
         for n in range(1, len(obs)))]
 
 
-def test_catalog_from_lines_round_trip(demo_catalog_path):
+def test_catalog_line_views_and_read_only_columns(demo_catalog_path):
     cat = load_catalog(demo_catalog_path, default_e_min=0.5)
-    again = LineCatalog.from_lines(cat.lines)
-    assert again.ids == cat.ids
-    for name in ("e0", "gamma0", "e_min", "hbar"):
-        assert getattr(again, name).tolist() == getattr(cat, name).tolist()
+    # each line view holds its row's cells as a ResonanceParams; the e_min
+    # cells, 0.0, are read over default_e_min
+    assert [ln.params for ln in cat.lines] == [
+        ResonanceParams(e_min=0.0, e0=e0, gamma0=g, hbar=1.0)
+        for e0, g in ((1.0, 0.01), (2.0, 0.02), (3.0, 0.01), (4.0, 0.04))]
     # the columns are validated once and then read-only
     with pytest.raises(ValueError):
         cat.e0[0] = 0.0

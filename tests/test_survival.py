@@ -14,7 +14,6 @@ from khalfin import (
     amplitude_asymptotic,
     amplitude_closed_form,
     amplitude_quadrature,
-    decay_law,
     delta_amplitude,
     effective_hamiltonian,
     effective_hamiltonian_fd,
@@ -320,21 +319,21 @@ def test_power_tail_magnitude(d100):
 )
 def test_survival_probability_bounded(t, x):
     d = make_density(0.0, x, 1.0)
-    p = decay_law(d, t)
+    p = amplitude_closed_form(d, t).p
     assert 0.0 <= p <= 1.0 + 1e-9
 
 
 def test_decay_law_monotone_early(d100):
     # strictly exponential-era decline, far from the crossover
     ts = np.linspace(0.1, 5.0, 25)
-    ps = [decay_law(d100, float(t)) for t in ts]
+    ps = [amplitude_closed_form(d100, float(t)).p for t in ts]
     assert all(a > b for a, b in zip(ps, ps[1:]))
 
 
 def test_decay_law_non_monotone_near_crossover(d100, t_as_100):
     # pole/background interference produces oscillations around t_as
     ts = np.linspace(0.5 * t_as_100, 2.0 * t_as_100, 2000)
-    ps = np.array([decay_law(d100, float(t)) for t in ts])
+    ps = np.array([amplitude_closed_form(d100, float(t)).p for t in ts])
     dp = np.diff(ps)
     assert np.sum(np.sign(dp[:-1]) != np.sign(dp[1:])) > 10
 
@@ -584,7 +583,7 @@ def test_closed_form_array_equals_scalar_calls(x):
         assert s.est_error.tolist() == [r.est_error for r in singles]
         assert route(d, ts[::-1]).value.tolist() == s.value.tolist()[::-1]
     s = amplitude_closed_form(d, T_MIX)
-    assert s.p.tolist() == [decay_law(d, t) for t in T_MIX.tolist()]
+    assert s.p.tolist() == [amplitude_closed_form(d, t).p for t in T_MIX.tolist()]
     ts = T_MIX[1:]
     assert delta_amplitude(d, ts).tolist() == [delta_amplitude(d, t) for t in ts.tolist()]
 
