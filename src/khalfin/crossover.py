@@ -47,8 +47,9 @@ def _dominance(x):
 
 
 def crossover_roots(x):
-    """Both real roots (s_small, s_large) of 2 ln s - s - ln A = 0 for an
-    array of finite x >= 1, as arrays of its shape, each by numerics.newton.
+    """Both real roots (s_small, s_large) of 2 ln s - s - ln A = 0 for a
+    scalar or an array of finite x >= 1, as NumPy scalars or arrays of its
+    shape, each by numerics.newton.
 
     The large root starts from L + 2 ln L (L = -ln A), the small one from
     sqrt(A), on s = sqrt(A) e^{s/2}; it underflows past x ~ 2.6e153.  The
@@ -115,14 +116,14 @@ def paper_approx_crossover(d: NormalizedDensity) -> float:
 
 
 def solve_crossover(d: NormalizedDensity) -> CrossoverResult:
-    """crossover_roots of one model, with the residual |e^{-s} - A/s^2| of
-    the large root and the logarithmic approximation (without its
-    warning)."""
-    small, large, root_a = _roots([d.params.x])
-    s_large = float(large[0])
-    a = float(root_a[0] * root_a[0])
+    """crossover_roots of one model, solved on NumPy scalars, with the
+    residual |e^{-s} - A/s^2| of the large root and the logarithmic
+    approximation (without its warning)."""
+    small, large, root_a = _roots(d.params.x)
+    s_large = float(large)
+    a = float(root_a * root_a)
     return CrossoverResult(
-        s_exact_small=float(small[0]),
+        s_exact_small=float(small),
         s_exact_large=s_large,
         s_paper_approx=_paper_approx(d.params.x),
         # |e^{-s} - A/s^2| at the large root, A formed once

@@ -61,10 +61,14 @@ def _relaxation(e0, gamma0, e_min):
 
     Where the larger of d = e0 - e_min and gamma0 is outside
     (1e-140, 1e150), d^2 + gamma0^2/4 over- or underflows; there g is
-    d / r / r with r = |pole - e_min| from hypot, within a few ulps."""
+    d / r / r with r = |pole - e_min| from hypot, within a few ulps.
+    Where every element is inside, the plain quotient alone is returned."""
     d = np.subtract(e0, e_min)
     scale = np.maximum(d, gamma0)
     plain = (scale > 1e-140) & (scale < 1e150)
+    if np.count_nonzero(plain) == plain.size:
+        g = d / (d * d + 0.25 * gamma0 * gamma0)
+        return g if np.ndim(g) else float(g)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         r = np.hypot(d, 0.5 * gamma0)
         g = np.where(plain, d / (d * d + 0.25 * gamma0 * gamma0), d / r / r)

@@ -244,18 +244,23 @@ def _e1s_asym_terms(z: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def newton(step, x: np.ndarray) -> np.ndarray:
-    """Newton from the seed x: x -= step(x), elementwise.  An element
-    retires once its step is at most 1e-15 of |x|, or no smaller than its
-    previous step (a rounding cycle), so its value never depends on the
-    rest of the array."""
+    """Newton from the seed x, an array or a NumPy scalar: x -= step(x),
+    elementwise.  An element retires once its step is at most 1e-15 of |x|,
+    or no smaller than its previous step (a rounding cycle); from then on
+    its step is masked to 0, so its value never depends on the rest of the
+    array.  No mask is applied before the first element retires."""
     active = np.ones(x.shape, dtype=bool)
     last = np.inf
+    left = active.size
     for _ in range(60):
-        dx = np.where(active, step(x), 0.0)
+        dx = step(x)
+        if left < active.size:
+            dx = np.where(active, dx, 0.0)
         x = x - dx
         size = np.abs(dx)
         active &= (size > 1e-15 * np.abs(x)) & (size < last)
-        if not np.count_nonzero(active):
+        left = np.count_nonzero(active)
+        if not left:
             return x
         last = size
     raise ConvergenceError("Newton iteration did not converge")

@@ -184,8 +184,8 @@ def relaxation_coefficient(line: SpectralLine) -> float:
 
 
 def crossover_times(e0, gamma0, e_min, hbar) -> np.ndarray:
-    """Exact crossover time of each line (x >= 1) given as columns, from
-    one array solve; inf where the time is past the double range."""
+    """Exact crossover time of each line (x >= 1) given as scalars or as
+    columns, from one solve; inf where the time is past the double range."""
     e0, gamma0, e_min, hbar = (np.asarray(c, dtype=float)
                                for c in (e0, gamma0, e_min, hbar))
     with np.errstate(over="ignore"):   # x = inf: refused by the solve
@@ -197,7 +197,7 @@ def crossover_times(e0, gamma0, e_min, hbar) -> np.ndarray:
 
 def crossover_time(line: SpectralLine) -> float:
     p = line.params
-    return float(crossover_times([p.e0], [p.gamma0], [p.e_min], [p.hbar])[0])
+    return float(crossover_times(p.e0, p.gamma0, p.e_min, p.hbar))
 
 
 def asymptotic_energy(line: SpectralLine, t: float) -> float:

@@ -108,13 +108,21 @@ def test_roots_match_mpmath(log10_x):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(0.0, 300.0), min_size=1, max_size=40))
-def test_array_matches_solve_crossover(log10_xs):
-    xs = [10.0 ** v for v in log10_xs]
+@given(st.lists(st.floats(0.0, 300.0).map(lambda v: 10.0 ** v),
+                min_size=1, max_size=40))
+@example([1.0])
+# sqrt A at the bottom of the normal range, then subnormal (s_exact_small
+# with it), then at the top of the x range, where it underflows to 0
+@example([2.6e153, 2.7e153, 1.7976931348623157e308])
+def test_array_matches_solve_crossover(xs):
+    # the array solve, the one-model solve and a Python float x agree bit
+    # for bit
     small, large = crossover_roots(np.array(xs))
     for x, s_small, s_large in zip(xs, small.tolist(), large.tolist()):
         res = solve_crossover(make_density(0.0, x, 1.0))
         assert (res.s_exact_small, res.s_exact_large) == (s_small, s_large)
+        assert [float(v).hex() for v in crossover_roots(x)] == \
+            [s_small.hex(), s_large.hex()]
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from khalfin import ResonanceParams, make_density, normalization_constant
+from khalfin.density import _relaxation
 from khalfin.errors import DomainError
 
 
@@ -74,3 +75,19 @@ def test_density_nonnegative(x, e):
 def test_normalization_constant_matches_ratio():
     p = ResonanceParams(e_min=2.0, e0=7.0, gamma0=2.5)
     assert normalization_constant(p) == 1.0 / (0.5 + math.atan(2.0 * p.x) / math.pi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0)),
+                max_size=30))
+@example([(-150.0, -150.0), (160.0, 0.0), (0.0, 155.0), (-300.0, 0.0)])
+def test_relaxation_array_equals_scalar_calls(rows):
+    # plain rows (the larger of d and gamma0 in (1e-140, 1e150)) beside
+    # hypot rows: the array call, which masks, equals the scalar calls,
+    # which take the plain quotient alone wherever it applies
+    d = np.array([3.0, 1e155, *(10.0 ** r for r, _ in rows)])
+    gamma0 = np.array([1.0, 1.0, *(10.0 ** r for _, r in rows)])
+    got = _relaxation(d, gamma0, 0.0)
+    alone = [_relaxation(di, gi, 0.0) for di, gi in zip(d, gamma0)]
+    assert all(type(g) is float for g in alone)
+    assert [g.hex() for g in got.tolist()] == [g.hex() for g in alone]

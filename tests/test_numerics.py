@@ -20,6 +20,7 @@ from khalfin.numerics import (
     _SERIES_TOPS,
     _e1s_asym_terms,
     _gauss_kronrod,
+    newton,
     quad,
 )
 
@@ -382,6 +383,32 @@ def test_lambert_array_matches_scalar_calls(minus, xs):
     want = [lambert_w(branch, x) for x in xs]
     assert all(type(w) is float for w in want)
     assert got.ravel().tolist() == want
+
+
+def _newton_sqrt(a, seed):
+    """newton on s^2 = a from seed, and the number of steps it took."""
+    steps = []
+
+    def step(s):
+        steps.append(s)
+        return (s * s - a) / (2.0 * s)
+
+    return newton(step, seed), len(steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+                max_size=30))
+def test_newton_array_elements_equal_their_own_scalar_calls(rows):
+    # s^2 = a from seeds near and far: an element whose seed is its root
+    # retires after one step, one 1e6 off after about 25, so the mask is
+    # in force for most of the array call
+    a, seed = (np.array([4.0, 1e12, *(10.0 ** r for r, _ in rows)]),
+               np.array([2.0, 1.0, *(10.0 ** r for _, r in rows)]))
+    got = _newton_sqrt(a, seed)[0]
+    alone = [_newton_sqrt(ai, si) for ai, si in zip(a.tolist(), seed)]
+    assert alone[0][1] == 1 < alone[1][1]
+    assert [float(v).hex() for v in got] == [float(v).hex() for v, _ in alone]
 
 
 def test_lambert_domain_errors():
