@@ -147,7 +147,8 @@ class _RunMethods:
         # np.geomspace's own arithmetic, bit for bit, without its
         # Python-level cost
         lo, hi = np.log10(self.t_start), np.log10(self.t_stop)
-        grid = 10.0 ** (np.arange(self.points) * ((hi - lo) / (self.points - 1)) + lo)
+        with np.errstate(over="ignore"):   # the last exponent can round past log10(DBL_MAX)
+            grid = 10.0 ** (np.arange(self.points) * ((hi - lo) / (self.points - 1)) + lo)
         grid[0], grid[-1] = self.t_start, self.t_stop
         return grid
 

@@ -73,8 +73,9 @@ def _roots(x):
 
 def _large_root(x):
     """(s_large, sqrt A) of crossover_roots, with the large root's
-    residual checked; the small root is not solved for."""
-    x = np.asarray(x, dtype=float)
+    residual checked; the small root is not solved for.  One model's x
+    is an np.float64 ([()]), so its checks run on NumPy scalars."""
+    x = np.asarray(x, dtype=float)[()]
     if not _all((x >= 1.0) & (x < np.inf)):
         raise DomainError("crossover solver requires a finite x >= 1")
     log_a, root_a = _dominance(x)

@@ -60,7 +60,7 @@ def _conditioning(d: NormalizedDensity, v: np.ndarray, a_abs: np.ndarray) -> np.
     one where it is 0/0 (sqrt A underflowed, v = 0) is not."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         tail = _dominance(d.params.x)[1] / (2.0 * v)
-    return a_abs < 2e-2 * (d.norm_n * (np.exp(-np.minimum(v, 745.0)) + tail))
+        return a_abs < 2e-2 * (d.norm_n * (np.exp(-np.minimum(v, 745.0)) + tail))
 
 
 def _require_nonvanishing(t: np.ndarray, a_abs: np.ndarray) -> None:

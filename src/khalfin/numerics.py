@@ -176,29 +176,31 @@ def _e1(z: np.ndarray, scaled: bool) -> np.ndarray:
     the series for |z| < 40 with |z| + Re z <= 4 (beside the cut), the
     continued fraction everywhere else."""
     r = np.abs(z)
-    with np.errstate(over="ignore"):   # inf near the double range: the cf branch
+    # inf near the double range: the cf branch, where NumPy's complex division
+    # overflows (Smith's denominator) and e^z E1 is 0 for its ~1/z < 1.2e-308
+    with np.errstate(over="ignore"):
         s = r + z.real
-    # z = 0 and the negative real axis have |z| + Re z = 0, as have points
-    # a rounding away from the axis; only those get the exact tests
-    if np.count_nonzero(s == 0.0):
-        if np.count_nonzero(z == 0):
-            raise DomainError("E1 is singular at z = 0")
-        if np.count_nonzero((z.imag == 0) & (z.real < 0)):
-            raise DomainError("E1 branch cut: z on the negative real axis")
-    if not scaled and np.count_nonzero(z.real < -_EXP_OVERFLOW):
-        raise RangeOverflowError(
-            "e^{-z} overflows for Re z < -700; use exp_integral_e1_scaled"
-        )
-    series = (s <= 4.0) & (r < 40.0)
-    cf = ~series
-    out = np.empty_like(z)
-    if np.count_nonzero(series):
-        zs = z[series]
-        out[series] = np.exp(zs) * _e1_series(zs) if scaled else _e1_series(zs)
-    if np.count_nonzero(cf):
-        zc = z[cf]
-        out[cf] = _e1_cf_scaled(zc) if scaled else _e1_cf_scaled(zc) * np.exp(-zc)
-    return out
+        # z = 0 and the negative real axis have |z| + Re z = 0, as have points
+        # a rounding away from the axis; only those get the exact tests
+        if np.count_nonzero(s == 0.0):
+            if np.count_nonzero(z == 0):
+                raise DomainError("E1 is singular at z = 0")
+            if np.count_nonzero((z.imag == 0) & (z.real < 0)):
+                raise DomainError("E1 branch cut: z on the negative real axis")
+        if not scaled and np.count_nonzero(z.real < -_EXP_OVERFLOW):
+            raise RangeOverflowError(
+                "e^{-z} overflows for Re z < -700; use exp_integral_e1_scaled"
+            )
+        series = (s <= 4.0) & (r < 40.0)
+        cf = ~series
+        out = np.empty_like(z)
+        if np.count_nonzero(series):
+            zs = z[series]
+            out[series] = np.exp(zs) * _e1_series(zs) if scaled else _e1_series(zs)
+        if np.count_nonzero(cf):
+            zc = z[cf]
+            out[cf] = _e1_cf_scaled(zc) if scaled else _e1_cf_scaled(zc) * np.exp(-zc)
+        return out
 
 
 def exp_integral_e1_scaled(z):
@@ -246,11 +248,21 @@ def _e1s_asym_terms(z: np.ndarray, n: int) -> np.ndarray:
 def newton(step, x: np.ndarray) -> np.ndarray:
     """Newton from the seed x, an array or a NumPy scalar: x -= step(x),
     elementwise.  An element retires once its step is at most 1e-15 of |x|,
-    or no smaller than its previous step (a rounding cycle); from then on
-    its step is masked to 0, so its value never depends on the rest of the
-    array.  No mask is applied before the first element retires."""
-    active = np.ones(x.shape, dtype=bool)
+    or no smaller than its previous step (a rounding cycle), or is NaN;
+    from then on its step is masked to 0, so its value never depends on the
+    rest of the array.  No mask is applied before the first element retires.
+    A 0-d seed runs its own loop under the same rule, without a mask."""
     last = np.inf
+    if not x.shape:
+        for _ in range(60):
+            dx = step(x)
+            x = x - dx
+            size = abs(dx)
+            if not (size > 1e-15 * abs(x) and size < last):
+                return x
+            last = size
+        raise ConvergenceError("Newton iteration did not converge")
+    active = np.ones(x.shape, dtype=bool)
     left = active.size
     for _ in range(60):
         dx = step(x)

@@ -150,8 +150,9 @@ def load_catalog(path, default_e_min: float = 0.0,
 
 def _same_threshold(e_min, hbar, ref_e_min, ref_hbar):
     """Columns (e_min within _EMIN_RTOL of max(1, |ref_e_min|), hbar equal)."""
-    return (np.abs(e_min - ref_e_min) <= _EMIN_RTOL * np.maximum(1.0, np.abs(ref_e_min)),
-            hbar == ref_hbar)
+    with np.errstate(over="ignore"):   # a difference past the double range: inf, not within
+        return (np.abs(e_min - ref_e_min) <= _EMIN_RTOL * np.maximum(1.0, np.abs(ref_e_min)),
+                hbar == ref_hbar)
 
 
 def _require_common_e_min_and_hbar(*lines: SpectralLine) -> None:
@@ -275,7 +276,8 @@ def observed_line_table(catalog: LineCatalog, frame: DopplerFrame,
     e_inf = _late_time_energies(catalog.ids, e0, catalog.gamma0, catalog.e_min,
                                 catalog.hbar, t)
     e_inf_obs = k * e_inf
-    check = np.abs(np.diff(e_inf_obs)) < k * np.abs(np.diff(e0))
+    with np.errstate(over="ignore"):   # separations past the double range are inf
+        check = np.abs(np.diff(e_inf_obs)) < k * np.abs(np.diff(e0))
     cells = check.astype(int).tolist()
     same_e, same_h = _same_threshold(catalog.e_min[1:], catalog.hbar[1:],
                                      catalog.e_min[:-1], catalog.hbar[:-1])

@@ -180,7 +180,7 @@ def _quadrature(d: NormalizedDensity, t: np.ndarray, u, v, unit):
     #   s: e^{-k/s} / ((xs s + i(1 - h s)) (xs s + i(1 + h s)))
     y0 = 1.0 + p.x
     xs, h = p.x / y0, 0.5 / y0
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):   # inf, or 0 inf at x = inf
         k = v * (2.0 * y0)
     if not _all(np.isfinite(k)):
         raise RangeOverflowError(f"quadrature route: at t = {t[~np.isfinite(k)][0]:g}, "
@@ -250,7 +250,8 @@ def _quadrature(d: NormalizedDensity, t: np.ndarray, u, v, unit):
 
 def _asymptotic(d: NormalizedDensity, u, v, unit, order: int):
     """(a_w, est_error) of the asymptotic route on flat rows u, v."""
-    with np.errstate(invalid="ignore"):   # inf - inf near z = 0: refused by the table
+    # inf - inf near z = 0, inf past the double range: refused by the table
+    with np.errstate(over="ignore", invalid="ignore"):
         terms = (1j * d.norm_n / TWO_PI) * (_e1s_asym_terms(_complex(-v, -u), order)
                                             - _e1s_asym_terms(_complex(v, -u), order))
     pole = d.norm_n * unit

@@ -806,6 +806,47 @@ def test_redshift_no_pair_check_across_thresholds(capsys, tmp_path):
     assert [row.rsplit(",", 1)[1] for row in out.splitlines()[1:]] == ["", ""]
 
 
+_REDSHIFT_AT_THE_EDGES = ("id,e0,e_inf,e0_obs,e_inf_obs,delta_pair_check\n"
+                          "A,-9e+307,-1e+308,-9e+307,-1e+308,\n"
+                          "B,1.1e+308,1e+308,1.1e+308,1e+308,\n")
+
+
+_RUNS_AT_THE_DOUBLE_RANGE = [
+    # the difference of the asymptotic route's term stacks overflows
+    ("amplitude --x 1 --hbar 1e153 --routes asymptotic", 3, ""),
+    # x is inf, so the quadrature route's k = v (2 y0) is 0 inf
+    ("amplitude --e0 1e-5 --gamma0 5e-324 --hbar 3 --t-stop 3 --routes quadrature",
+     3, ""),
+    # N (e^{-v} + tail) overflows in _conditioning: every row stays flagged
+    ("hamiltonian --hbar 1e308 --e0 1e-154", 0, None),
+    # E1's continued fraction divides past the double range
+    ("amplitude --t-stop 1 --x 1e-5 --hbar 0.5 --gamma0 1.7976931348623157e308",
+     3, ""),
+    # the log grid's last exponent rounds past log10 of the largest double
+    ("amplitude --t-stop 1.7976931348623157e308", 3, ""),
+    ("hamiltonian --t-stop 1.7976931348623157e308", 3, ""),
+    # the separations of e_inf and e0, and of e_min, overflow
+    ("redshift --t-stop 1e3 --catalog {catalog}", 0, _REDSHIFT_AT_THE_EDGES),
+]
+
+
+@pytest.mark.parametrize("argv, status, stdout", _RUNS_AT_THE_DOUBLE_RANGE,
+                         ids=[argv for argv, _, _ in _RUNS_AT_THE_DOUBLE_RANGE])
+def test_runs_at_the_double_range_warn_nothing(capsys, tmp_path, argv, status, stdout):
+    cat = tmp_path / "cat.csv"
+    cat.write_text("id,e0,gamma0,e_min\nA,-9e307,1.0,-1e308\nB,1.1e308,1.0,1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run(capsys, *argv.format(catalog=cat).split())
+    assert got == status
+    assert err.count("\n") == (status != EXIT_OK)
+    if stdout is None:
+        flags = [row.rsplit(",", 1)[1] for row in out.splitlines()[1:]]
+        assert len(flags) == 200 and set(flags) == {"1"}
+    else:
+        assert out == stdout
+
+
 # two values of each parameter that has both a config path and a flag, as
 # (flags, config value): the second pair is set by flag over the first
 _BOTH_WAYS = {

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -152,6 +153,19 @@ def test_scaled_e1_deep_left_plane_no_overflow():
     assert math.isfinite(v.real) and math.isfinite(v.imag)
     # leading behavior 1/z
     assert abs(v - 1.0 / z) <= 5e-3 * abs(1.0 / z)
+
+
+@pytest.mark.parametrize("z", [1e308 + 1e308j, 1.7976931348623157e308 - 3.6e303j,
+                               -1.7976931348623157e308 - 3.6e303j])
+def test_scaled_e1_at_the_top_of_the_double_range_warns_nothing(z):
+    # NumPy's complex division in the continued fraction overflows inside
+    # it; the value, about 1/z, is below 1.2e-308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = exp_integral_e1_scaled(z)
+        got_array = exp_integral_e1_scaled(np.array([z, 2.0 + 1.0j]))
+    assert cmath.isfinite(got) and abs(got) <= 0.5 / abs(0.5 * z)   # 1/|z|
+    assert got_array[0] == got
 
 
 def test_e1_overflow_raises():
@@ -409,6 +423,18 @@ def test_newton_array_elements_equal_their_own_scalar_calls(rows):
     alone = [_newton_sqrt(ai, si) for ai, si in zip(a.tolist(), seed)]
     assert alone[0][1] == 1 < alone[1][1]
     assert [float(v).hex() for v in got] == [float(v).hex() for v, _ in alone]
+    # a 0-d seed runs its own loop: as many steps as in a one-element array
+    single = [_newton_sqrt(np.array([ai]), si[None]) for ai, si in zip(a.tolist(), seed)]
+    assert [n for _, n in alone] == [n for _, n in single]
+    assert [float(v[0]).hex() for v, _ in single] == [float(v).hex() for v in got]
+
+
+@pytest.mark.parametrize("seed", [np.float64(1.0), np.array(1.0), np.array([1.0, 2.0])],
+                         ids=["scalar", "0-d", "array"])
+def test_newton_that_never_settles_raises(seed):
+    # each step halves x: it shrinks, and stays at |x|, far above 1e-15 |x|
+    with pytest.raises(ConvergenceError):
+        newton(lambda s: 0.5 * s, seed)
 
 
 def test_lambert_domain_errors():
