@@ -31,7 +31,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .crossover import APPROX_VALIDITY_X, solve_crossover
+from .crossover import solve_crossover
 from .density import NormalizedDensity, ResonanceParams
 from .effham import effective_hamiltonian, effective_hamiltonian_fd
 from .errors import CatalogError, ConfigError, DomainError, KhalfinError
@@ -284,7 +284,7 @@ _AMPLITUDE_HEADER = ["t", "re_a", "im_a", "abs_a", "p_t", "route", "est_error"]
 
 
 def cmd_amplitude(cfg: RunConfig) -> int:
-    d = NormalizedDensity.from_params(cfg.model())
+    d = NormalizedDensity(cfg.model())
     grid = cfg.time_grid()
     # raveled, row k * m + j of the table holds time k and route j of m
     value, est = (col.ravel() for col in amplitude_table(d, grid, cfg.routes))
@@ -302,7 +302,7 @@ _HAMILTONIAN_HEADER = ["t", "re_h", "im_h", "energy", "rate", "route",
 
 
 def cmd_hamiltonian(cfg: RunConfig) -> int:
-    d = NormalizedDensity.from_params(cfg.model())
+    d = NormalizedDensity(cfg.model())
     grid = cfg.time_grid()
     if cfg.fd_check:
         s, fd = effective_hamiltonian_fd(d, grid, with_exact=True)
@@ -329,13 +329,16 @@ def cmd_hamiltonian(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+# the logarithmic approximation is quoted for x above this
+APPROX_VALIDITY_X = 100.0
+
 _CROSSOVER_HEADER = ["x", "s_exact_small", "s_exact_large", "s_paper_approx",
                      "residual", "a_coefficient", "approx_rel_gap",
                      "approx_validity_warning"]
 
 
 def cmd_crossover(cfg: RunConfig) -> int:
-    d = NormalizedDensity.from_params(cfg.model())
+    d = NormalizedDensity(cfg.model())
     res = solve_crossover(d)
     x = d.params.x
     warn = x <= APPROX_VALIDITY_X

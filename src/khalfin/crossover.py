@@ -10,18 +10,20 @@ with g_w = x / (x^2 + 1/4) the relaxation coefficient g of
 khalfin.density in width units.  For x >= 1, 2 ln s - s - ln A = 0 has
 two real roots, either side of s = 2; the physical crossover is the
 large one.  Both are Lambert W values, s = -2 W_b(-sqrt(A)/2) on branches
-0 and -1, but sqrt A underflows past x ~ 2.6e153, so `crossover_roots`
-finds them with numerics.newton, the iteration of numerics.lambert_w, in
-ln A = 2 (ln g_w - ln x - ln 2 pi), where no x overflows.  The classical
-logarithmic approximation s ~ 8.28 + 4 ln x + 2 ln(8.28 + 4 ln x) is
-also provided verbatim for comparison; for x = 100 it overshoots the
-exact root by roughly 15%, which the CLI surfaces explicitly.
+0 and -1, but sqrt A underflows past x ~ 2.6e153, so they are found with
+numerics.newton, the iteration of numerics.lambert_w, in
+ln A = 2 (ln g_w - ln x - ln 2 pi), where no x overflows.  Two entries
+ask for them: `solve_crossover`, both roots of one model, and
+`_large_root`, the large root alone over a column of x (through
+khalfin.redshift.crossover_times).  The classical logarithmic
+approximation s ~ 8.28 + 4 ln x + 2 ln(8.28 + 4 ln x) is reported
+verbatim for comparison; for x = 100 it overshoots the exact root by
+roughly 15%, and the CLI warns where x <= 100.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +33,6 @@ from .errors import ConvergenceError, DomainError
 from .numerics import _EPS, _all, newton
 
 APPROX_CONSTANT = 8.28
-APPROX_VALIDITY_X = 100.0
 
 _TWO_PI = 2.0 * math.pi
 
@@ -46,35 +47,15 @@ def _dominance(x):
     return 2.0 * (np.log(g_w) - np.log(x) - math.log(_TWO_PI)), g_w / x / _TWO_PI
 
 
-def crossover_roots(x):
-    """Both real roots (s_small, s_large) of 2 ln s - s - ln A = 0 for a
-    scalar or an array of finite x >= 1, as NumPy scalars or arrays of its
-    shape, each by numerics.newton.
-
-    The large root starts from L + 2 ln L (L = -ln A), the small one from
-    sqrt(A), on s = sqrt(A) e^{s/2}; it underflows past x ~ 2.6e153.  The
-    large root's residual in logarithms, the relative residual of
-    e^{-s} = A/s^2, must be <= 1e-12, or 4 eps s past s = 1126, where
-    e^{-s} is 0 in doubles and 4 eps s bounds the rounding of s.
-    """
-    return _roots(x)[:2]
-
-
-def _roots(x):
-    """(s_small, s_large, sqrt A) of crossover_roots."""
-    s_large, root_a = _large_root(x)
-
-    def small_step(s):
-        e = root_a * np.exp(0.5 * s)
-        return (s - e) / (1.0 - 0.5 * e)
-
-    return newton(small_step, root_a), s_large, root_a
-
-
 def _large_root(x):
-    """(s_large, sqrt A) of crossover_roots, with the large root's
-    residual checked; the small root is not solved for.  One model's x
-    is an np.float64 ([()]), so its checks run on NumPy scalars."""
+    """(s_large, sqrt A) of 2 ln s - s - ln A = 0 for a scalar or an array
+    of finite x >= 1, as NumPy scalars or arrays of its shape, by
+    numerics.newton from L + 2 ln L (L = -ln A); the small root is not
+    solved for.  The residual in logarithms, the relative residual of
+    e^{-s} = A/s^2, must be <= 1e-12, or 4 eps s past s = 1126, where
+    e^{-s} is 0 in doubles and 4 eps s bounds the rounding of s.  One
+    model's x is an np.float64 ([()]), so its checks run on NumPy
+    scalars."""
     x = np.asarray(x, dtype=float)[()]
     if not _all((x >= 1.0) & (x < np.inf)):
         raise DomainError("crossover solver requires a finite x >= 1")
@@ -106,21 +87,19 @@ def _paper_approx(x: float) -> float:
     return inner + 2.0 * math.log(inner)
 
 
-def paper_approx_crossover(d: NormalizedDensity) -> float:
-    """Logarithmic approximation to the crossover, constant 8.28,
-    stated for x > 100; a warning is emitted below that."""
-    x = d.params.x
-    if x <= APPROX_VALIDITY_X:
-        warnings.warn(f"crossover approximation is quoted for x > "
-                      f"{APPROX_VALIDITY_X:g}; got x = {x:g}", stacklevel=2)
-    return _paper_approx(x)
-
-
 def solve_crossover(d: NormalizedDensity) -> CrossoverResult:
-    """crossover_roots of one model, solved on NumPy scalars, with the
-    residual |e^{-s} - A/s^2| of the large root and the logarithmic
-    approximation (without its warning)."""
-    small, large, root_a = _roots(d.params.x)
+    """Both roots of one model, solved on NumPy scalars, with the residual
+    |e^{-s} - A/s^2| of the large root and the logarithmic approximation.
+
+    The small root solves s = sqrt(A) e^{s/2} from sqrt(A); it underflows
+    past x ~ 2.6e153."""
+    large, root_a = _large_root(d.params.x)
+
+    def small_step(s):
+        e = root_a * np.exp(0.5 * s)
+        return (s - e) / (1.0 - 0.5 * e)
+
+    small = newton(small_step, root_a)
     s_large = float(large)
     a = float(root_a * root_a)
     return CrossoverResult(

@@ -9,7 +9,7 @@ evaluates omega(E) itself, for checks such as the normalization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,14 +108,14 @@ def normalization_constant(params: ResonanceParams) -> float:
 
 @dataclass(frozen=True)
 class NormalizedDensity:
-    """Truncated Breit-Wigner density with its normalization fixed."""
+    """Truncated Breit-Wigner density with its normalization fixed:
+    norm_n is normalization_constant(params), set on construction."""
 
     params: ResonanceParams
-    norm_n: float
+    norm_n: float = field(init=False)
 
-    @classmethod
-    def from_params(cls, params: ResonanceParams) -> "NormalizedDensity":
-        return cls(params=params, norm_n=normalization_constant(params))
+    def __post_init__(self):
+        object.__setattr__(self, "norm_n", normalization_constant(self.params))
 
     def density_at(self, e):
         """omega(E): zero below threshold, Lorentzian above it.
@@ -132,6 +132,5 @@ class NormalizedDensity:
 def make_density(e_min: float, e0: float, gamma0: float,
                  hbar: float = 1.0) -> NormalizedDensity:
     """The NormalizedDensity of these parameters, for scripts and tests."""
-    return NormalizedDensity.from_params(
-        ResonanceParams(e_min=e_min, e0=e0, gamma0=gamma0, hbar=hbar)
-    )
+    return NormalizedDensity(
+        ResonanceParams(e_min=e_min, e0=e0, gamma0=gamma0, hbar=hbar))

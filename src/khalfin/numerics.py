@@ -166,8 +166,11 @@ def _e1_cf_scaled(z: np.ndarray) -> np.ndarray:
     with poles at minus the zeros of L_{n+1}; the depths from |z| = 40 keep
     them inside |z| < 34.  So no step divides by zero: off the cut each f
     keeps the sign of Im z (f > 0 on the positive axis), and on it
-    |f| > 15."""
-    return 1.0 / _backward(z, _CF_BANDS, lambda z, n: z + (2 * n + 1), _cf_steps)
+    |f| > 15.  The last division is 0.5/(0.5 f): halving is exact, and it
+    keeps Smith's denominator in NumPy's complex division finite at the top
+    of the double range, where e^z E1 ~ 1/z is subnormal."""
+    return 0.5 / (0.5 * _backward(z, _CF_BANDS, lambda z, n: z + (2 * n + 1),
+                                  _cf_steps))
 
 
 def _e1(z: np.ndarray, scaled: bool) -> np.ndarray:
@@ -176,8 +179,8 @@ def _e1(z: np.ndarray, scaled: bool) -> np.ndarray:
     the series for |z| < 40 with |z| + Re z <= 4 (beside the cut), the
     continued fraction everywhere else."""
     r = np.abs(z)
-    # inf near the double range: the cf branch, where NumPy's complex division
-    # overflows (Smith's denominator) and e^z E1 is 0 for its ~1/z < 1.2e-308
+    # inf near the double range; there the cf branch's steps overflow inside
+    # NumPy's complex division (Smith's denominator)
     with np.errstate(over="ignore"):
         s = r + z.real
         # z = 0 and the negative real axis have |z| + Re z = 0, as have points

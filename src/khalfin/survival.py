@@ -248,22 +248,23 @@ def _quadrature(d: NormalizedDensity, t: np.ndarray, u, v, unit):
     return pole + below, scale * err + floor
 
 
-def _asymptotic(d: NormalizedDensity, u, v, unit, order: int):
-    """(a_w, est_error) of the asymptotic route on flat rows u, v."""
+def _asymptotic(d: NormalizedDensity, u, v, unit):
+    """(a_w, est_error) of the asymptotic route on flat rows u, v: two
+    terms, and the third as the estimate."""
     # inf - inf near z = 0, inf past the double range: refused by the table
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = (1j * d.norm_n / TWO_PI) * (_e1s_asym_terms(_complex(-v, -u), order)
-                                            - _e1s_asym_terms(_complex(v, -u), order))
+        terms = (1j * d.norm_n / TWO_PI) * (_e1s_asym_terms(_complex(-v, -u), 2)
+                                            - _e1s_asym_terms(_complex(v, -u), 2))
     pole = d.norm_n * unit
-    value = pole + terms[:order].sum(axis=0)
+    value = pole + terms[:2].sum(axis=0)
     # rounding floor, as in the quadrature route: the exponent -v - iu and
     # 4 ulps of a_w (errors up to 2.2 eps |a_w| against mpmath); the eps
     # goes into hypot, which overflows where u and v near the double range
     floor = 1.5 * np.hypot(_EPS * v, _EPS * u) * np.abs(pole) + 4.0 * _EPS * np.abs(value)
-    return value, np.abs(terms[order]) + floor
+    return value, np.abs(terms[2]) + floor
 
 
-def amplitude_table(d: NormalizedDensity, t, routes, order: int = 2):
+def amplitude_table(d: NormalizedDensity, t, routes):
     """(value, est_error) of a(t) by each of routes (Route members or their
     names), in t's shape plus a trailing axis of routes.  Each route in turn
     checks t, gets a_w from its kernel and is refused by name if not finite;
@@ -274,8 +275,6 @@ def amplitude_table(d: NormalizedDensity, t, routes, order: int = 2):
         raise DomainError("routes must name at least one route")
     for j, route in enumerate(map(Route, routes)):
         tt, shape = _times(t, positive=route is Route.ASYMPTOTIC)
-        if route is Route.ASYMPTOTIC and order not in (1, 2):
-            raise DomainError("order must be 1 or 2")
         if not j:
             u, v, theta = _phase_args(d, tt)
             unit = _unit_pole(u, v)
@@ -286,7 +285,7 @@ def amplitude_table(d: NormalizedDensity, t, routes, order: int = 2):
         elif route is Route.QUADRATURE:
             value[:, j], est[:, j] = _quadrature(d, tt, u, v, unit)
         else:
-            value[:, j], est[:, j] = _asymptotic(d, u, v, unit, order)
+            value[:, j], est[:, j] = _asymptotic(d, u, v, unit)
         with np.errstate(over="ignore"):   # |a|^2 past the double range is refused
             ok = np.isfinite(np.square(np.abs(value[:, j])) + est[:, j])
         if not _all(ok):
@@ -298,9 +297,9 @@ def amplitude_table(d: NormalizedDensity, t, routes, order: int = 2):
     return value.reshape(shape + (-1,)), est.reshape(shape + (-1,))
 
 
-def _sample(route: Route, d: NormalizedDensity, t, order: int = 2) -> AmplitudeSample:
+def _sample(route: Route, d: NormalizedDensity, t) -> AmplitudeSample:
     """The sample of one route: its column of amplitude_table, in t's shape."""
-    value, est = amplitude_table(d, t, (route,), order)
+    value, est = amplitude_table(d, t, (route,))
     tt, shape = _flat(t, float)
     return AmplitudeSample(_unflat(tt, shape), _unflat(value[..., 0], shape), route,
                            _unflat(est[..., 0], shape))
@@ -333,15 +332,15 @@ def amplitude_quadrature(d: NormalizedDensity, t) -> AmplitudeSample:
     return _sample(Route.QUADRATURE, d, t)
 
 
-def amplitude_asymptotic(d: NormalizedDensity, t, order: int = 2) -> AmplitudeSample:
-    """Pole term plus the first `order` inverse-power background terms of
-    a_w, (i N / 2 pi) sum_k (-1)^k k! (z2^{-(k+1)} - z1^{-(k+1)}).
+def amplitude_asymptotic(d: NormalizedDensity, t) -> AmplitudeSample:
+    """Pole term plus the first two inverse-power background terms of a_w,
+    (i N / 2 pi) sum_{k<2} (-1)^k k! (z2^{-(k+1)} - z1^{-(k+1)}).
 
-    est_error is the first omitted term, the rounding floor
+    est_error is the third term, the rounding floor
     eps (1.5 hypot(u, v) |N e^{-v - iu}| + 4 |a_w|) and the threshold phase's
     rounding.  t may be a scalar or an array.
     """
-    return _sample(Route.ASYMPTOTIC, d, t, order)
+    return _sample(Route.ASYMPTOTIC, d, t)
 
 
 def delta_amplitude(d: NormalizedDensity, t):

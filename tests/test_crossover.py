@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from khalfin import make_density, paper_approx_crossover, solve_crossover
-from khalfin.crossover import _dominance, crossover_roots
+from khalfin import make_density, solve_crossover
+from khalfin.crossover import _dominance
 from khalfin.errors import DomainError
 from khalfin.numerics import lambert_w
+from khalfin.redshift import crossover_times
 
 _TINY = np.finfo(float).tiny
 
@@ -60,12 +61,6 @@ def test_approx_overshoots_exact(d100):
     assert 0.10 < gap < 0.20
 
 
-def test_approx_warns_at_low_x():
-    d = make_density(0.0, 10.0, 1.0)
-    with pytest.warns(UserWarning):
-        paper_approx_crossover(d)
-
-
 def test_root_grows_with_x():
     roots = [solve_crossover(make_density(0.0, x, 1.0)).s_exact_large
              for x in (1.0, 10.0, 100.0, 1e4, 1e6)]
@@ -76,7 +71,7 @@ def test_requires_x_at_least_one():
     with pytest.raises(DomainError):
         solve_crossover(make_density(0.0, 0.5, 1.0))
     with pytest.raises(DomainError):
-        crossover_roots([10.0, math.inf])
+        crossover_times([10.0, math.inf], 1.0, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("x", [1e80, 1e155, 1e300])
@@ -100,7 +95,8 @@ def test_huge_x(x):
 @example(math.log10(2.6e153))  # the small root leaves the normal range
 def test_roots_match_mpmath(log10_x):
     x = 10.0 ** log10_x
-    s_small, s_large = (v.item() for v in crossover_roots(x))
+    res = solve_crossover(make_density(0.0, x, 1.0))
+    s_small, s_large = res.s_exact_small, res.s_exact_large
     small, large = _mp_roots(x)
     assert _rel(s_large, large) <= 1e-13
     if small >= _TINY:
@@ -115,25 +111,24 @@ def test_roots_match_mpmath(log10_x):
 # with it), then at the top of the x range, where it underflows to 0
 @example([2.6e153, 2.7e153, 1.7976931348623157e308])
 def test_array_matches_solve_crossover(xs):
-    # the array solve, the one-model solve and a Python float x agree bit
-    # for bit
-    small, large = crossover_roots(np.array(xs))
-    for x, s_small, s_large in zip(xs, small.tolist(), large.tolist()):
+    # a catalog's column solve, the one-model solve and a Python float x
+    # agree bit for bit on the large root
+    large = crossover_times(np.array(xs), 1.0, 0.0, 1.0)
+    for x, s_large in zip(xs, large.tolist()):
         res = solve_crossover(make_density(0.0, x, 1.0))
-        assert (res.s_exact_small, res.s_exact_large) == (s_small, s_large)
-        assert [float(v).hex() for v in crossover_roots(x)] == \
-            [s_small.hex(), s_large.hex()]
+        assert res.s_exact_large.hex() == s_large.hex()
+        assert float(crossover_times(x, 1.0, 0.0, 1.0)).hex() == s_large.hex()
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(0.0, 150.0), min_size=1, max_size=40))
 @example([0.0, 150.0])
 def test_roots_are_lambert_w_values(log10_xs):
-    # s = -2 W_b(-sqrt(A)/2), where sqrt A is normal; crossover_roots
+    # s = -2 W_b(-sqrt(A)/2), where sqrt A is normal; solve_crossover
     # solves in ln A and lambert_w in w + ln(w/x), with one Newton iteration
-    x = 10.0 ** np.array(log10_xs)
-    small, large = crossover_roots(x)
-    y = -0.5 * _dominance(x)[1]
     eps = np.finfo(float).eps
-    assert np.all(np.abs(-2.0 * lambert_w(-1, y) / large - 1) <= 4 * eps)
-    assert np.all(np.abs(-2.0 * lambert_w(0, y) / small - 1) <= 1e-13)
+    for x in 10.0 ** np.array(log10_xs):
+        res = solve_crossover(make_density(0.0, float(x), 1.0))
+        y = -0.5 * float(_dominance(x)[1])
+        assert abs(-2.0 * lambert_w(-1, y) / res.s_exact_large - 1) <= 4 * eps
+        assert abs(-2.0 * lambert_w(0, y) / res.s_exact_small - 1) <= 1e-13

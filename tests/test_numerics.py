@@ -159,12 +159,17 @@ def test_scaled_e1_deep_left_plane_no_overflow():
                                -1.7976931348623157e308 - 3.6e303j])
 def test_scaled_e1_at_the_top_of_the_double_range_warns_nothing(z):
     # NumPy's complex division in the continued fraction overflows inside
-    # it; the value, about 1/z, is below 1.2e-308
+    # it; the value, about 1/z, is a subnormal below 1.2e-308, and each part
+    # is within 2 subnormal ulps of mpmath
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = exp_integral_e1_scaled(z)
         got_array = exp_integral_e1_scaled(np.array([z, 2.0 + 1.0j]))
-    assert cmath.isfinite(got) and abs(got) <= 0.5 / abs(0.5 * z)   # 1/|z|
+    with mp.workdps(40):
+        want = complex(mp.exp(mp.mpc(z)) * mp.expint(1, mp.mpc(z)))
+    ulp = 2.0 ** -1074
+    assert abs(got.real - want.real) <= 2 * ulp
+    assert abs(got.imag - want.imag) <= 2 * ulp
     assert got_array[0] == got
 
 

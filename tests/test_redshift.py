@@ -20,8 +20,8 @@ from khalfin import (
     observed_line_table,
     ratio_diagnostic,
 )
-from khalfin import (crossover_roots, hamiltonian_asymptotic, make_density,
-                     power_tail_coefficient)
+from khalfin import (hamiltonian_asymptotic, make_density, power_tail_coefficient,
+                     solve_crossover)
 from khalfin.density import _relaxation
 from khalfin.errors import CatalogError, DomainError, RangeOverflowError
 from khalfin.redshift import (crossover_time, crossover_times,
@@ -327,11 +327,14 @@ def _bits(values):
 
 def test_crossover_times_are_the_large_roots():
     # crossover_times solves the large root alone: in width units it is
-    # crossover_roots' large root, bit for bit
-    x = np.geomspace(1.0, 1e300, 2001)
+    # solve_crossover's large root, bit for bit, past sqrt A's underflow
+    # (2.6e153, 2.7e153) up to the largest double
+    x = np.append(np.geomspace(1.0, 1e300, 2001),
+                  [2.6e153, 2.7e153, 1.7976931348623157e308])
     one = np.ones_like(x)
     assert _bits(crossover_times(x, one, 0.0 * one, one)) == \
-        _bits(crossover_roots(x)[1])
+        _bits(solve_crossover(make_density(0.0, v, 1.0)).s_exact_large
+              for v in x.tolist())
 
 
 @settings(max_examples=80, deadline=None)
