@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from .crossover import solve_crossover
 from .density import NormalizedDensity, ResonanceParams
-from .effham import effective_hamiltonian, effective_hamiltonian_fd
+from .effham import hamiltonian_table
 from .errors import CatalogError, ConfigError, DomainError, KhalfinError
 from .redshift import (DopplerFrame, crossover_times, load_catalog,
                        observed_line_table)
@@ -304,10 +304,9 @@ _HAMILTONIAN_HEADER = ["t", "re_h", "im_h", "energy", "rate", "route",
 def cmd_hamiltonian(cfg: RunConfig) -> int:
     d = NormalizedDensity(cfg.model())
     grid = cfg.time_grid()
-    if cfg.fd_check:
-        s, fd = effective_hamiltonian_fd(d, grid, with_exact=True)
-    else:
-        s = effective_hamiltonian(d, grid)
+    routes = ("finite_difference", "exact_ratio") if cfg.fd_check else ("exact_ratio",)
+    samples = hamiltonian_table(d, grid, routes)
+    fd, s = samples[0], samples[-1]   # one sample, fd is s, without --fd-check
     re_h = s.h.real.tolist()   # the energy column too: it is h.real
     columns = dict(zip(_HAMILTONIAN_HEADER, (
         grid.tolist(), re_h, s.h.imag.tolist(), re_h, s.rate.tolist(),

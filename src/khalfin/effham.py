@@ -63,14 +63,6 @@ def _conditioning(d: NormalizedDensity, v: np.ndarray, a_abs: np.ndarray) -> np.
         return a_abs < 2e-2 * (d.norm_n * (np.exp(-np.minimum(v, 745.0)) + tail))
 
 
-def _require_nonvanishing(t: np.ndarray, a_abs: np.ndarray) -> None:
-    vanished = np.flatnonzero(a_abs < 1e-250)
-    if vanished.size:
-        k = vanished[0]
-        raise AmplitudeUnderflowError(
-            f"|a({float(t[k])})| ~ {a_abs[k]:g}: amplitude vanished")
-
-
 def _sample(t, shape, h, route, ill_conditioned) -> HamiltonianSample:
     """The sample of a route over flat t, in the caller's shape.  Every
     h(t) route passes through here, so none returns an h, energy or rate
@@ -85,13 +77,55 @@ def _sample(t, shape, h, route, ill_conditioned) -> HamiltonianSample:
                              _unflat(ill_conditioned, shape))
 
 
-def _exact_ratio(d, t, shape, v, a, delta) -> HamiltonianSample:
-    """h = pole + gamma0 delta_a_w/a_w of one closed-form call, on the row v."""
-    a_abs = np.abs(a)
-    _require_nonvanishing(t, a_abs)
-    h = d.params.pole + d.params.gamma0 * (delta / a)
-    return _sample(t, shape, h, HamiltonianRoute.EXACT_RATIO,
-                   _conditioning(d, v, a_abs))
+def hamiltonian_table(d: NormalizedDensity, t, routes) -> list[HamiltonianSample]:
+    """One sample of h(t) per route of routes (HamiltonianRoute members or
+    their names), in order.  t is checked once; a_w, the four stencil points
+    and delta_a_w of the centre row come from one E1 call.  The phase rows,
+    the stencil and a vanished a(t) are refused before any h; then each
+    route's h is refused by name, in the order asked."""
+    routes = [HamiltonianRoute(r) for r in routes]
+    p = d.params
+    tt, shape = _times(t, positive=True)
+    n = tt.size
+    fd = HamiltonianRoute.FINITE_DIFFERENCE in routes
+    exact = HamiltonianRoute.EXACT_RATIO in routes
+    if fd or exact:
+        u, v, _ = _phase_args(d, tt)
+        us, vs = u, v
+        if fd:
+            # the stencil is formed in v, where 2v may overflow: s is half the step
+            s = _EPS ** (1.0 / 3.0) * np.maximum(v, 0.5)
+            if np.any(v <= 2.0 * s):
+                raise DomainError("t too small for the finite-difference stencil")
+            with np.errstate(over="ignore", invalid="ignore"):
+                vs = np.concatenate([v, v + s, v - s, v + 0.5 * s, v - 0.5 * s])
+                us = np.concatenate([u, p.x * vs[n:] * 2.0])   # u = x tau
+            if not _all(np.isfinite(us)):
+                raise RangeOverflowError("finite-difference stencil out of the double range")
+        values, _, delta = _closed_form(d, us, vs, _unit_pole(us, vs), with_delta=exact)
+        a = values[:n]
+        a_abs = np.abs(a)
+        vanished = np.flatnonzero(a_abs < 1e-250)
+        if vanished.size:
+            k = vanished[0]
+            raise AmplitudeUnderflowError(
+                f"|a({float(tt[k])})| ~ {a_abs[k]:g}: amplitude vanished")
+        flags = _conditioning(d, v, a_abs)
+    samples = []
+    for route in routes:
+        if route is HamiltonianRoute.EXACT_RATIO:
+            h = p.pole + p.gamma0 * (delta[:n] / a)
+        elif route is HamiltonianRoute.FINITE_DIFFERENCE:
+            ap, am, ahp, ahm = values[n:].reshape(4, -1)
+            d1 = (ap - am) / (4.0 * s)
+            d2 = (ahp - ahm) / (2.0 * s)
+            h = p.e_min + p.gamma0 * (1j * ((4.0 * d2 - d1) / 3.0) / a)
+        else:
+            h = _complex(_late_time_energy(p.e0, p.gamma0, p.e_min, p.hbar, tt),
+                         -p.hbar / tt)
+        flagged = np.zeros(n, bool) if route is HamiltonianRoute.ASYMPTOTIC else flags
+        samples.append(_sample(tt, shape, h, route, flagged))
+    return samples
 
 
 def effective_hamiltonian(d: NormalizedDensity, t) -> HamiltonianSample:
@@ -101,47 +135,18 @@ def effective_hamiltonian(d: NormalizedDensity, t) -> HamiltonianSample:
     t may be a scalar or an array; a_w and delta_a_w come from one E1
     call on [z1; z2], delta_a_w reusing E1s(z1) of the amplitude.
     """
-    tt, shape = _times(t, positive=True)
-    u, v, _ = _phase_args(d, tt)
-    a, _, delta = _closed_form(d, u, v, _unit_pole(u, v), with_delta=True)
-    return _exact_ratio(d, tt, shape, v, a, delta)
+    return hamiltonian_table(d, t, (HamiltonianRoute.EXACT_RATIO,))[0]
 
 
-def effective_hamiltonian_fd(d: NormalizedDensity, t, with_exact: bool = False):
+def effective_hamiltonian_fd(d: NormalizedDensity, t) -> HamiltonianSample:
     """Finite-difference route: Richardson-extrapolated central difference
     of the closed-form a_w in tau = 2v = gamma0 t/hbar, with the step
     eps^(1/3) max(tau, 1), and h = e_min + gamma0 i (da_w/dtau)/a_w.
 
     t may be a scalar or an array; a_w and the four stencil points of
-    every t come from one E1 call.  With with_exact set, returns
-    (exact-ratio sample, finite-difference sample): the centre row of
-    the stencil already holds a_w and E1s(z1), so the exact route costs
-    no second E1 call and equals effective_hamiltonian(d, t).
+    every t come from one E1 call.
     """
-    p = d.params
-    tt, shape = _times(t, positive=True)
-    u, v, _ = _phase_args(d, tt)
-    # the stencil is formed in v, where 2v may overflow: s is half the step
-    s = _EPS ** (1.0 / 3.0) * np.maximum(v, 0.5)
-    if np.any(v <= 2.0 * s):
-        raise DomainError("t too small for the finite-difference stencil")
-    with np.errstate(over="ignore", invalid="ignore"):
-        vs = np.concatenate([v, v + s, v - s, v + 0.5 * s, v - 0.5 * s])
-        us = np.concatenate([u, p.x * vs[tt.size:] * 2.0])   # u = x tau
-    if not _all(np.isfinite(us)):
-        raise RangeOverflowError("finite-difference stencil out of the double range")
-    values, _, delta = _closed_form(d, us, vs, _unit_pole(us, vs), with_delta=with_exact)
-    a, ap, am, ahp, ahm = values.reshape(5, -1)
-    a_abs = np.abs(a)
-    _require_nonvanishing(tt, a_abs)
-    d1 = (ap - am) / (4.0 * s)
-    d2 = (ahp - ahm) / (2.0 * s)
-    h = p.e_min + p.gamma0 * (1j * ((4.0 * d2 - d1) / 3.0) / a)
-    fd = _sample(tt, shape, h, HamiltonianRoute.FINITE_DIFFERENCE,
-                 _conditioning(d, v, a_abs))
-    if not with_exact:
-        return fd
-    return _exact_ratio(d, tt, shape, v, a, delta[:tt.size]), fd
+    return hamiltonian_table(d, t, (HamiltonianRoute.FINITE_DIFFERENCE,))[0]
 
 
 def hamiltonian_asymptotic(d: NormalizedDensity, t) -> HamiltonianSample:
@@ -151,12 +156,7 @@ def hamiltonian_asymptotic(d: NormalizedDensity, t) -> HamiltonianSample:
 
     t may be a scalar or an array; the form is never flagged.
     """
-    tt, shape = _times(t, positive=True)
-    p = d.params
-    h = _complex(_late_time_energy(p.e0, p.gamma0, p.e_min, p.hbar, tt),
-                 -p.hbar / tt)
-    return _sample(tt, shape, h, HamiltonianRoute.ASYMPTOTIC,
-                   np.zeros(tt.shape, bool))
+    return hamiltonian_table(d, t, (HamiltonianRoute.ASYMPTOTIC,))[0]
 
 
 # ---------------------------------------------------------------------------

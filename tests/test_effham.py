@@ -3,19 +3,26 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from khalfin import (
     HamiltonianRoute,
     PowerLawModel,
     amplitude_closed_form,
+    cli,
     effective_hamiltonian,
     effective_hamiltonian_fd,
     fit_powerlaw_tail,
     hamiltonian_asymptotic,
     make_density,
     powerlaw_hamiltonian,
+    survival,
 )
-from khalfin.errors import DomainError, FitError, RangeOverflowError
+from khalfin.effham import hamiltonian_table
+from khalfin.errors import DomainError, FitError, KhalfinError, RangeOverflowError
+from khalfin.numerics import exp_integral_e1_scaled
+from khalfin.survival import amplitude_table
 
 
 def test_exact_vs_finite_difference(d100):
@@ -264,19 +271,89 @@ def test_array_equals_scalar_calls(x):
 
 
 @pytest.mark.parametrize("x", [0.3, 100.0])
-def test_fd_with_exact_reuses_the_stencil(x):
+def test_table_fd_and_exact_share_the_stencil(x):
     # the exact sample from the stencil's centre row is the one that
     # effective_hamiltonian computes, and the fd sample is unchanged
     d = make_density(0.0, x, 1.0)
     ts = np.geomspace(0.05, 1e5, 40)
-    exact, fd = effective_hamiltonian_fd(d, ts, with_exact=True)
+    fd, exact = hamiltonian_table(d, ts, ("finite_difference", "exact_ratio"))
     for got, want in ((exact, effective_hamiltonian(d, ts)),
                       (fd, effective_hamiltonian_fd(d, ts))):
         assert got.route is want.route
         assert got.h.tolist() == want.h.tolist()
         assert got.ill_conditioned.tolist() == want.ill_conditioned.tolist()
-    exact, fd = effective_hamiltonian_fd(d, 5.0, with_exact=True)
+    fd, exact = hamiltonian_table(d, 5.0, ("finite_difference", "exact_ratio"))
     assert exact.h == effective_hamiltonian(d, 5.0).h and type(exact.h) is complex
+
+
+def test_one_e1_call_per_grid(monkeypatch, tmp_path):
+    # a whole grid costs one call of the E1 kernel, whichever routes it runs
+    calls = []
+
+    def counted(z):
+        calls.append(z.size)
+        return exp_integral_e1_scaled(z)
+
+    monkeypatch.setattr(survival, "exp_integral_e1_scaled", counted)
+    d = make_density(0.0, 100.0, 1.0)
+    grid = np.geomspace(0.1, 3000.0, 200)
+    argv = ["hamiltonian", "--x", "100", "--t-start", "0.1", "--t-stop", "3000",
+            "--fd-check", "--out", str(tmp_path / "h.csv")]
+    for run in (
+        lambda: amplitude_table(d, grid, ("closed_form", "quadrature", "asymptotic")),
+        lambda: effective_hamiltonian(d, grid),
+        lambda: effective_hamiltonian_fd(d, grid),
+        lambda: hamiltonian_table(d, grid, ("finite_difference", "exact_ratio")),
+        lambda: cli.main(argv),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == 1
+    # the CLI's one call holds [z1; z2] of a_w and the four stencil points
+    assert calls == [2 * 5 * 200]
+
+
+_ONE_ROUTE = {"exact_ratio": effective_hamiltonian,
+              "finite_difference": effective_hamiltonian_fd,
+              "asymptotic": hamiltonian_asymptotic}
+
+
+def _outcome(call):
+    try:
+        return call()
+    except KhalfinError as e:
+        return type(e), str(e)
+
+
+def _bits(value):
+    """The type (a Python scalar for scalar t) and the bytes of a field."""
+    return type(value), np.asarray(value).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(-3.0, 8.0).map(lambda e: 10.0 ** e),
+       t=st.floats(1e-3, 1e6) | st.lists(st.floats(1e-3, 1e6), min_size=1,
+                                         max_size=8).map(np.array),
+       routes=st.tuples(st.permutations(list(_ONE_ROUTE)), st.integers(1, 3))
+       .map(lambda pk: tuple(pk[0][:pk[1]])))
+@example(x=100.0, t=1e-9, routes=("finite_difference", "exact_ratio", "asymptotic"))
+@example(x=100.0, t=np.array([1.0, 1e-9]), routes=("exact_ratio", "finite_difference"))
+@example(x=100.0, t=0.0, routes=("asymptotic", "exact_ratio"))
+def test_table_equals_its_one_route_calls(x, t, routes):
+    # each sample is its route's own call, bit for bit; a refusal is one
+    # that a route of the table makes alone
+    d = make_density(0.0, x, 1.0)
+    alone = [_outcome(lambda: _ONE_ROUTE[r](d, t)) for r in routes]
+    refusals = [o for o in alone if isinstance(o, tuple)]
+    got = _outcome(lambda: hamiltonian_table(d, t, routes))
+    if refusals:
+        assert got in refusals
+        return
+    assert [s.route.value for s in got] == list(routes)
+    for s, one in zip(got, alone):
+        assert s.route is one.route
+        for field in ("t", "h", "energy", "rate", "ill_conditioned"):
+            assert _bits(getattr(s, field)) == _bits(getattr(one, field))
 
 
 def test_scalar_in_python_scalar_out(d100):
